@@ -26,12 +26,9 @@ from relci import (
     SplitBundle,
     canonical_top_power,
     chow_expand,
+    cross_check,
     fibre_deg,
     h_top,
-    hilbert_series_rank,
-    koszul_degree_bruteforce,
-    pushforward_degree,
-    pushforward_rank,
     sym_degree_bruteforce,
 )
 from relci.exact import binom_trunc
@@ -56,10 +53,6 @@ print("deg Sym^2 E: brute", brute, " closed", closed)
 # A twisted intersection of a conic and a quartic in this bundle.
 
 X = RelativeCI(E, (2, 4), (1, -2))
-for h in range(0, 9):
-    assert koszul_degree_bruteforce(split, X, h) == pushforward_degree(X, h)
-    assert hilbert_series_rank(X.k, E.rank, h) == pushforward_rank(X, h)
-print("pushforward rank/degree agree with enumeration for h = 0..8")
 
 # %%
 # Intersection numbers through the symbolic expansion.
@@ -70,9 +63,12 @@ print(
     "closed:  ",
     (h_top(X), fibre_deg(X), canonical_top_power(X)),
 )
-assert (chow.h_top, chow.fibre_deg, chow.kf_top) == (
-    h_top(X),
-    fibre_deg(X),
-    canonical_top_power(X),
-)
+
+# %%
+# All four suites at once, for twists and exponents 0..8: the same
+# cross-check the ``relci oracle`` subcommand and the acceptance suite run.
+
+checks, mismatches = cross_check(X, split, 8)
+print("checks per suite:", checks)
+assert not mismatches, mismatches
 print("all cross-checks passed")

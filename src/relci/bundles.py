@@ -163,6 +163,8 @@ class CycleClass:
 
 
 class ConeLabel(str, Enum):
+    """Listed from the innermost cone out: Nef <= bridge <= Pseff."""
+
     NEF = "Nef"
     BRIDGE = "Bridge"
     PSEFF = "Pseff"
@@ -259,11 +261,7 @@ def classify(bundle: BundleOverCurve, cls: CycleClass) -> Region:
         raise InputError("cycle class with negative H^c coefficient is not a candidate")
     if cls.p == 0:
         return Region.NEF_BOUNDARY
-    slopes = virtual_slopes(bundle)
-    c = cls.codim
-    nef_t = sum(slopes[-c:], Fraction(0))
-    bridge_t = c * bundle.slope
-    pseff_t = sum(slopes[:c], Fraction(0))
+    nef_t, bridge_t, pseff_t = (cone(bundle, cls.codim, label).threshold for label in ConeLabel)
     ratio = -cls.q / cls.p
     if ratio < nef_t:
         return Region.INSIDE_NEF

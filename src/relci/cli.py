@@ -20,6 +20,9 @@ Instance file schema::
 with (rank, degree) and induces the Harder-Narasimhan profile (which
 must then agree with ``hn`` when both are present).
 
+``-i -`` reads the JSON from standard input.  A section of the wrong
+JSON type (say a list where an object belongs) is invalid input.
+
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
 """
@@ -34,14 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .bundles import (
-    BundleOverCurve,
-    ConeLabel,
-    classify,
-    cone,
-    virtual_slopes,
-)
-from .exact import binom_trunc
+from .bundles import BundleOverCurve, ConeLabel, classify, cone
 from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_intersection
 from .errors import InputError, InternalCheckError
 from .invariants import (
@@ -56,13 +52,7 @@ from .invariants import (
     positivity_margin,
     pushforward,
 )
-from .oracles import (
-    SplitBundle,
-    chow_expand,
-    hilbert_series_rank,
-    koszul_degree_bruteforce,
-    sym_degree_bruteforce,
-)
+from .oracles import SplitBundle, cross_check
 from .verdicts import (
     Orientation,
     VerdictReport,
@@ -90,8 +80,6 @@ def _enc(value: Any) -> Any:
         return {str(k): _enc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_enc(v) for v in value]
-    if hasattr(value, "value") and isinstance(value.value, str):  # Enum
-        return value.value
     raise TypeError(f"cannot encode {value!r} in a report")
 
 
@@ -110,12 +98,30 @@ def _int(value: Any, field: str) -> int:
     return value
 
 
-def _parse_instance(data: Any) -> tuple[BundleOverCurve, RelativeCI, SplitBundle | None]:
-    if not isinstance(data, dict):
-        raise InputError("instance file must contain a JSON object")
+def _shaped(value: Any, kind: type, field: str) -> Any:
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise InputError(f"{field} must be {noun}, got {value!r}")
+    return value
+
+
+def _read_json(path: str) -> Any:
+    """Read and decode a JSON input file; ``-`` reads standard input."""
     try:
-        braw = data["bundle"]
-        ciraw = data["ci"]
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return json.loads(raw)
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        raise InputError(f"input file {path} is not valid JSON: {exc}") from exc
+
+
+def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
+    """Decode an instance in the file schema above; the bundle is ``X.bundle``."""
+    _shaped(data, dict, "instance file")
+    try:
+        braw = _shaped(data["bundle"], dict, "bundle")
+        ciraw = _shaped(data["ci"], dict, "ci")
     except KeyError as exc:
         raise InputError(f"instance file missing section {exc.args[0]!r}") from exc
     rank = _int(braw.get("rank"), "bundle.rank")
@@ -123,13 +129,15 @@ def _parse_instance(data: Any) -> tuple[BundleOverCurve, RelativeCI, SplitBundle
     genus = _int(braw.get("base_genus", 0), "bundle.base_genus")
     hn = None
     if braw.get("hn") is not None:
+        blocks = [_shaped(b, dict, "bundle.hn block") for b in _shaped(braw["hn"], list, "bundle.hn")]
         hn = tuple(
             (_int(b.get("rank"), "bundle.hn.rank"), _int(b.get("degree"), "bundle.hn.degree"))
-            for b in braw["hn"]
+            for b in blocks
         )
     split = None
     if braw.get("split") is not None:
-        split = SplitBundle(tuple(_int(a, "bundle.split") for a in braw["split"]))
+        degs = _shaped(braw["split"], list, "bundle.split")
+        split = SplitBundle(tuple(_int(a, "bundle.split") for a in degs))
         if split.rank != rank or split.degree != degree:
             raise InputError(
                 f"bundle.split implies (rank, degree) = ({split.rank}, {split.degree}), "
@@ -140,25 +148,17 @@ def _parse_instance(data: Any) -> tuple[BundleOverCurve, RelativeCI, SplitBundle
             raise InputError("bundle.hn disagrees with the profile induced by bundle.split")
         hn = induced.hn
     bundle = BundleOverCurve(rank, degree, genus, hn)
-    k = tuple(_int(v, "ci.k") for v in ciraw.get("k", ()))
-    y = tuple(_int(v, "ci.y") for v in ciraw.get("y", ()))
+    k = tuple(_int(v, "ci.k") for v in _shaped(ciraw.get("k", []), list, "ci.k"))
+    y = tuple(_int(v, "ci.y") for v in _shaped(ciraw.get("y", []), list, "ci.y"))
     if not k:
         raise InputError("ci.k must be a nonempty list")
-    X = RelativeCI(bundle, k, y)
-    return bundle, X, split
+    return RelativeCI(bundle, k, y), split
 
 
-def _load_instance(path: str) -> tuple[BundleOverCurve, RelativeCI, SplitBundle | None, dict]:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
-    bundle, X, split = _parse_instance(data)
-    echo = {
+def instance_to_json(X: RelativeCI, split: SplitBundle | None) -> dict:
+    """The JSON form of an instance, as ``instance_from_json`` reads it back."""
+    bundle = X.bundle
+    return {
         "bundle": {
             "rank": bundle.rank,
             "degree": bundle.degree,
@@ -168,7 +168,11 @@ def _load_instance(path: str) -> tuple[BundleOverCurve, RelativeCI, SplitBundle 
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
     }
-    return bundle, X, split, echo
+
+
+def _load_instance(path: str) -> tuple[RelativeCI, SplitBundle | None, dict]:
+    X, split = instance_from_json(_read_json(path))
+    return X, split, instance_to_json(X, split)
 
 
 def _warnings(X: RelativeCI) -> list[str]:
@@ -210,7 +214,7 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    bundle, X, _, echo = _load_instance(args.instance)
+    X, _, echo = _load_instance(args.instance)
     h = args.h
     pf = pushforward(X, h)
     rep = positivity_margin(X, h) if h >= 1 else None
@@ -238,17 +242,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verdict(args: argparse.Namespace) -> int:
-    bundle, X, _, echo = _load_instance(args.instance)
+    X, _, echo = _load_instance(args.instance)
+    bundle = X.bundle
     cls = ci_class(X)
     cone_part: dict[str, Any] = {"class": {"p": cls.p, "q": cls.q}}
     if bundle.has_hn:
-        slopes = virtual_slopes(bundle)
-        c = X.codim
         cone_part["region"] = classify(bundle, cls).value
         cone_part["thresholds"] = {
-            "nef": sum(slopes[-c:], Fraction(0)),
-            "bridge": c * bundle.slope,
-            "pseff": sum(slopes[:c], Fraction(0)),
+            label.value.lower(): cone(bundle, X.codim, label).threshold for label in ConeLabel
         }
     else:
         ratio = X.ratio_sum
@@ -270,7 +271,8 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def _cmd_cones(args: argparse.Namespace) -> int:
-    bundle, X, _, echo = _load_instance(args.instance)
+    X, _, echo = _load_instance(args.instance)
+    bundle = X.bundle
     if not bundle.has_hn:
         raise InputError("cone description needs the Harder-Narasimhan profile (hn or split)")
     c = args.codim
@@ -303,7 +305,7 @@ def _cmd_cones(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    bundle, X, _, echo = _load_instance(args.instance)
+    X, _, echo = _load_instance(args.instance)
     sweep = h_sweep(X, args.h_max)
     result = {
         "margins": [
@@ -319,52 +321,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    bundle, X, split, echo = _load_instance(args.instance)
+    X, split, echo = _load_instance(args.instance)
     if split is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
     h_max = args.h_max
-    r, d = bundle.rank, bundle.degree
-    mismatches: list[dict] = []
-    checks = {"sym_closed_form": 0, "koszul_vs_degree": 0, "hilbert_vs_rank": 0, "chow_vs_closed_forms": 0}
-
-    for a in range(h_max + 1):
-        for twist in range(-3, 4):
-            brute = sym_degree_bruteforce(split, a, twist)
-            closed = Fraction(binom_trunc(a + r - 1, r - 1) * (a * d - twist * r), r)
-            checks["sym_closed_form"] += 1
-            if brute != closed:
-                mismatches.append(
-                    {"suite": "sym_closed_form", "a": a, "twist": twist, "brute": brute, "closed": closed}
-                )
-    for h in range(h_max + 1):
-        pf = pushforward(X, h)
-        brute_deg = koszul_degree_bruteforce(split, X, h)
-        checks["koszul_vs_degree"] += 1
-        if brute_deg != pf.degree:
-            mismatches.append(
-                {"suite": "koszul_vs_degree", "h": h, "brute": brute_deg, "closed": pf.degree}
-            )
-        brute_rank = hilbert_series_rank(X.k, r, h)
-        checks["hilbert_vs_rank"] += 1
-        if brute_rank != pf.rank:
-            mismatches.append(
-                {"suite": "hilbert_vs_rank", "h": h, "brute": brute_rank, "closed": pf.rank}
-            )
-    summary = chow_expand(X)
-    cls = ci_class(X)
-    for name, brute, closed in (
-        ("h_top", summary.h_top, h_top(X)),
-        ("fibre_deg", summary.fibre_deg, fibre_deg(X)),
-        ("kf_top", summary.kf_top, canonical_top_power(X)),
-        ("ci_class_p", summary.ci_class.p, cls.p),
-        ("ci_class_q", summary.ci_class.q, cls.q),
-    ):
-        checks["chow_vs_closed_forms"] += 1
-        if brute != closed:
-            mismatches.append(
-                {"suite": "chow_vs_closed_forms", "field": name, "brute": brute, "closed": closed}
-            )
-
+    checks, mismatches = cross_check(X, split, h_max)
     result = {
         "h_max": h_max,
         "checks": checks,
@@ -376,26 +337,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_contact(args: argparse.Namespace) -> int:
-    try:
-        raw = (
-            sys.stdin.read()
-            if args.instance == "-"
-            else Path(args.instance).read_text(encoding="utf-8")
-        )
-        data = json.loads(raw)
-    except OSError as exc:
-        raise InputError(f"cannot read contact file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"contact input is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("contact input must be a JSON object")
+    data = _shaped(_read_json(args.instance), dict, "contact input")
     try:
         weights = WeightFiltration(
-            tuple(_rat(w, "weights") for w in data["weights"])
+            tuple(_rat(w, "weights") for w in _shaped(data["weights"], list, "weights"))
         )
         insts = {}
         for name in ("y", "z"):
-            node = data[name]
+            node = _shaped(data[name], dict, name)
             insts[name] = ContactInstance(
                 ambient_n=weights.ambient_n,
                 dim=_int(node.get("dim"), f"{name}.dim"),
@@ -415,11 +364,8 @@ def _cmd_contact(args: argparse.Namespace) -> int:
             "status": hm_test(cut, weights).value,
         },
     }
-    echo = {
-        "weights": list(weights.weights),
-        "y": {"dim": insts["y"].dim, "deg": insts["y"].deg, "e_f": insts["y"].e_f},
-        "z": {"dim": insts["z"].dim, "deg": insts["z"].deg, "e_f": insts["z"].e_f},
-    }
+    echo = {name: {"dim": T.dim, "deg": T.deg, "e_f": T.e_f} for name, T in insts.items()}
+    echo["weights"] = list(weights.weights)
     _emit(_report("contact", echo, result, []), args.pretty)
     return 0
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import prod
 
 from .bundles import BundleOverCurve, CycleClass
@@ -142,11 +142,11 @@ class RelativeCI:
     def y_of(self, subset: tuple[int, ...]) -> int:
         return sum(self.y[i - 1] for i in subset)
 
-
-@lru_cache(maxsize=None)
-def _tables(X: RelativeCI) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    cnt, val = signed_subset_tables(X.k, X.y)
-    return tuple(cnt), tuple(val)
+    @cached_property
+    def tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Signed subset tables (cnt, val) of (k, y), built once per instance."""
+        cnt, val = signed_subset_tables(self.k, self.y)
+        return tuple(cnt), tuple(val)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def pushforward_rank(X: RelativeCI, h: int) -> int:
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
     r = X.rank
-    cnt, _ = _tables(X)
+    cnt, _ = X.tables
     return sum(
         c * binom_trunc(h - s + r - 1, r - 1) for s, c in enumerate(cnt) if c
     )
@@ -218,7 +218,7 @@ def pushforward_degree(X: RelativeCI, h: int) -> int:
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
     r, d = X.rank, X.degree
-    cnt, val = _tables(X)
+    cnt, val = X.tables
     num = 0
     for s, (c, v) in enumerate(zip(cnt, val)):
         if c or v:

@@ -15,6 +15,8 @@ None of these reuse the closed forms they validate:
   the cycle ring of the projective bundle (relations S*S = 0,
   H^r = d * point, H^(r-1) * S = point).
 
+``cross_check`` runs all four against the closed forms on one instance.
+
 Enumeration sizes grow like binom(h + r - 1, r - 1); the intended range
 (r <= 5, twists <= 12 or so) runs in well under a second.
 """
@@ -24,12 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import InputError, InternalCheckError
 from .exact import Rat, binom_trunc, subsets_of_size
-from .invariants import RelativeCI
+from .invariants import (
+    RelativeCI,
+    canonical_top_power,
+    ci_class,
+    fibre_deg,
+    h_top,
+    pushforward,
+)
 
 __all__ = [
     "SplitBundle",
@@ -39,6 +47,7 @@ __all__ = [
     "koszul_degree_bruteforce",
     "hilbert_series_rank",
     "chow_expand",
+    "cross_check",
 ]
 
 
@@ -210,3 +219,45 @@ def chow_expand(X: RelativeCI) -> ChowSummary:
         kf_top=kf,
         ci_class=CycleClass(X.codim, cls.u, cls.v),
     )
+
+
+def cross_check(
+    X: RelativeCI, split: SplitBundle, h_max: int
+) -> tuple[dict[str, int], list[dict]]:
+    """Compare every closed form on X with its brute-force oracle.
+
+    Four suites: symmetric-power degrees of ``split`` for exponents
+    0..h_max and twists -3..3, pushforward degrees and ranks for
+    h = 0..h_max, and the intersection numbers and class of X against
+    ``chow_expand``.  ``split`` must be the bundle of X.  Returns the
+    number of comparisons per suite and one entry per disagreement
+    (empty when every closed form agrees).
+    """
+    r, d = X.rank, X.degree
+    checks = {"sym_closed_form": 0, "koszul_vs_degree": 0, "hilbert_vs_rank": 0, "chow_vs_closed_forms": 0}
+    mismatches: list[dict] = []
+
+    def compare(suite: str, brute: Rat, closed: Rat, **where: object) -> None:
+        checks[suite] += 1
+        if brute != closed:
+            mismatches.append({"suite": suite, **where, "brute": brute, "closed": closed})
+
+    for a in range(h_max + 1):
+        for twist in range(-3, 4):
+            closed = Fraction(binom_trunc(a + r - 1, r - 1) * (a * d - twist * r), r)
+            compare("sym_closed_form", sym_degree_bruteforce(split, a, twist), closed, a=a, twist=twist)
+    for h in range(h_max + 1):
+        pf = pushforward(X, h)
+        compare("koszul_vs_degree", koszul_degree_bruteforce(split, X, h), pf.degree, h=h)
+        compare("hilbert_vs_rank", hilbert_series_rank(X.k, r, h), pf.rank, h=h)
+    summary = chow_expand(X)
+    cls = ci_class(X)
+    for name, brute, closed in (
+        ("h_top", summary.h_top, h_top(X)),
+        ("fibre_deg", summary.fibre_deg, fibre_deg(X)),
+        ("kf_top", summary.kf_top, canonical_top_power(X)),
+        ("ci_class_p", summary.ci_class.p, cls.p),
+        ("ci_class_q", summary.ci_class.q, cls.q),
+    ):
+        compare("chow_vs_closed_forms", brute, closed, field=name)
+    return checks, mismatches

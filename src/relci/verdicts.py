@@ -29,13 +29,12 @@ from fractions import Fraction
 from typing import Any
 
 from .bundles import BundleOverCurve
-from .errors import HypothesisError, InputError, InternalCheckError
+from .errors import InputError, InternalCheckError
 from .exact import RatPoly, interpolate
 from .invariants import (
     PositivityReport,
     RelativeCI,
     alpha_invariant,
-    balanced_margin,
     canonical_margin,
     canonical_top_power,
     positivity_margin,

@@ -35,10 +35,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 from relci import (
-    BundleOverCurve,
     ConeLabel,
     RelativeCI,
     alpha_invariant,
@@ -50,19 +48,18 @@ from relci import (
     classify,
     cone,
     contact_of_intersection,
+    cross_check,
     fibre_deg,
     h_top,
     hilbert_series_rank,
     hm_test,
     instability_verdict,
-    interpolate,
     koszul_degree_bruteforce,
     mn_divisor_test,
     omega_pushforward,
     positivity_margin,
-    pushforward_degree,
-    pushforward_rank,
     slope_verdict,
+    stable_margin_poly,
     virtual_slopes,
 )
 from relci.bundles import REGIONS_OUTSIDE_BRIDGE
@@ -74,15 +71,6 @@ from tests.conftest import make_ci, make_hn_bundle
 
 def scoreboard(n: int, name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {n:2d} ({name}): {'PASS' if ok else 'FAIL'}")
-
-
-def normalised_margin_poly(X: RelativeCI):
-    n = X.dim
-    samples = [
-        (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
-        for h in range(X.k_sum, X.k_sum + n + 2)
-    ]
-    return interpolate(samples)
 
 
 def test_criterion_1_small_twist_proportionality():
@@ -119,7 +107,7 @@ def test_criterion_2_asymptotic_leading_coefficient_as_stated():
     balanced = 0
     for _ in range(200):
         X = make_ci(rng)
-        poly = normalised_margin_poly(X)
+        poly = stable_margin_poly(X)
         n = X.dim
         a = alpha_invariant(X)
         stated = Fraction((1 + n * fibre_deg(X)) * a, X.rank)
@@ -149,7 +137,7 @@ def test_criterion_2_corrected_leading_coefficient():
     bad = []
     for _ in range(200):
         X = make_ci(rng)
-        poly = normalised_margin_poly(X)
+        poly = stable_margin_poly(X)
         n, r = X.dim, X.rank
         fib = fibre_deg(X)
         a = alpha_invariant(X)
@@ -294,13 +282,9 @@ def test_criterion_7_oracle_equivalence():
             for c in range(1, r - 1):
                 for k in GRID_DEGREES[c]:
                     for y in GRID_TWISTS[c]:
-                        X = RelativeCI(E, k, y)
-                        for h in range(0, 13):
-                            checked += 1
-                            if koszul_degree_bruteforce(split, X, h) != pushforward_degree(X, h):
-                                bad.append((degs, k, y, h, "deg"))
-                            if hilbert_series_rank(k, r, h) != pushforward_rank(X, h):
-                                bad.append((degs, k, y, h, "rank"))
+                        checks, mismatches = cross_check(RelativeCI(E, k, y), split, 12)
+                        checked += sum(checks.values())
+                        bad += [(degs, k, y, m) for m in mismatches]
     rng = random.Random(707)
     for _ in range(200):
         r = rng.randint(3, 5)
@@ -312,20 +296,9 @@ def test_criterion_7_oracle_equivalence():
             tuple(rng.randint(-6, 6) for _ in range(c)),
         )
         h = rng.randint(0, 12)
-        checked += 1
-        if koszul_degree_bruteforce(split, X, h) != pushforward_degree(X, h):
-            bad.append((split, X, h, "deg"))
-        if hilbert_series_rank(X.k, r, h) != pushforward_rank(X, h):
-            bad.append((split, X, h, "rank"))
-        chow = chow_expand(X)
-        cls = ci_class(X)
-        if (
-            chow.h_top != h_top(X)
-            or chow.fibre_deg != fibre_deg(X)
-            or chow.kf_top != canonical_top_power(X)
-            or (chow.ci_class.p, chow.ci_class.q) != (cls.p, cls.q)
-        ):
-            bad.append((split, X, "chow"))
+        checks, mismatches = cross_check(X, split, h)
+        checked += sum(checks.values())
+        bad += [(split, X, m) for m in mismatches]
     ok = not bad
     scoreboard(7, f"oracle equivalence ({checked} checks)", ok)
     assert ok, bad[:3]

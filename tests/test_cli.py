@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
-from pathlib import Path
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci.cli import main
+from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, invariants
+from relci.bundles import split_hn_blocks
+from relci.cli import instance_from_json, instance_to_json, main
 
 WORKED = {
     "bundle": {"rank": 4, "degree": 4, "base_genus": 0, "split": [1, 1, 1, 1]},
@@ -245,6 +249,17 @@ class TestContactCommand:
         code, _, _ = run_main(capsys, "contact", "-i", str(path))
         assert code == 2
 
+    def test_reads_stdin(self, capsys, monkeypatch):
+        payload = {
+            "weights": ["1", "1", "1", "1"],
+            "y": {"dim": 1, "deg": 2, "e_f": "4"},
+            "z": {"dim": 2, "deg": 3, "e_f": "6"},
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        code, out, _ = run_main(capsys, "contact", "-i", "-")
+        assert code == 0
+        assert json.loads(out)["input"]["weights"] == ["1", "1", "1", "1"]
+
 
 class TestExampleCommand:
     def test_as_written_diagnosis(self, capsys):
@@ -265,3 +280,148 @@ class TestExampleCommand:
         assert code == 0
         verdict = json.loads(out)["result"]["verdict"]
         assert verdict["hypotheses"]["instability_excess"] is False
+
+
+
+class TestOracleCanFail:
+    def test_wrong_degree_is_reported(self, capsys, monkeypatch, worked_file):
+        true_degree = invariants.pushforward_degree
+        monkeypatch.setattr(invariants, "pushforward_degree", lambda X, h: true_degree(X, h) + 1)
+        split = SplitBundle((1, 1, 1, 1))
+        checks, mismatches = cross_check(RelativeCI(split.to_bundle(), (3, 3), (1, 2)), split, 4)
+        assert checks["koszul_vs_degree"] == 5
+        assert [(m["suite"], m["h"]) for m in mismatches] == [("koszul_vs_degree", h) for h in range(5)]
+        code, out, _ = run_main(capsys, "oracle", "-i", worked_file, "--h-max", "4")
+        assert code == 4
+        assert json.loads(out)["result"]["status"] == "oracle mismatch"
+
+
+@st.composite
+def instances(draw):
+    """A valid instance: plain bundle, bundle with a profile, or split bundle."""
+    kind = draw(st.sampled_from(["plain", "hn", "split"]))
+    genus = draw(st.integers(0, 3))
+    degs = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=6))
+    split = SplitBundle(tuple(degs)) if kind == "split" else None
+    hn = split_hn_blocks(degs) if kind != "plain" else None
+    bundle = BundleOverCurve(len(degs), sum(degs), genus, hn)
+    c = draw(st.integers(1, bundle.rank - 2))
+    k = draw(st.lists(st.integers(2, 6), min_size=c, max_size=c))
+    y = draw(st.lists(st.integers(-10, 10), min_size=c, max_size=c))
+    return RelativeCI(bundle, tuple(k), tuple(y)), split
+
+
+class TestInstanceCodec:
+    @given(instances())
+    def test_round_trip(self, instance):
+        X, split = instance
+        doc = instance_to_json(X, split)
+        X2, split2 = instance_from_json(json.loads(json.dumps(doc)))
+        assert (X2, split2) == (X, split)
+        assert instance_to_json(X2, split2) == doc
+
+
+WRONG_SHAPES = {
+    "bundle_list": {"bundle": [4, 4], "ci": {"k": [2], "y": [0]}},
+    "hn_pairs": {"bundle": {"rank": 4, "degree": 4, "hn": [[4, 4]]}, "ci": {"k": [2], "y": [0]}},
+    "ci_list": {"bundle": {"rank": 4, "degree": 4}, "ci": [[2], [0]]},
+    "k_int": {"bundle": {"rank": 4, "degree": 4}, "ci": {"k": 5, "y": [0]}},
+    "split_int": {"bundle": {"rank": 4, "degree": 4, "split": 7}, "ci": {"k": [2], "y": [0]}},
+}
+
+
+class TestWrongShapes:
+    @pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+    def test_instance_exits_2(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(WRONG_SHAPES[name]), encoding="utf-8")
+        code, out, err = run_main(capsys, "verdict", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:")
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run_main(capsys, "verdict", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:")
+
+    def test_contact_node_list_exits_2(self, capsys, tmp_path):
+        payload = {"weights": ["1", "1", "1", "1"], "y": {"dim": 1, "deg": 2, "e_f": "4"}, "z": []}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_main(capsys, "contact", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:")
+
+
+# Any JSON value, with integers kept small: the caps on work are not under test.
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.text(max_size=5),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def contact_payloads(draw):
+    """A valid ``contact`` input: weights on P^n and two subvarieties."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1).filter(any))
+    e_f = st.integers(0, 40) | st.builds("{}/{}".format, st.integers(0, 40), st.integers(1, 5))
+    node = st.fixed_dictionaries({"dim": st.integers(0, n), "deg": st.integers(1, 4), "e_f": e_f})
+    y, z = draw(node), draw(node)
+    return {"weights": [str(w) for w in weights], "y": y, "z": z}
+
+
+@st.composite
+def scrambled(draw, documents):
+    """A valid document with some of its slots dropped or replaced by any JSON value."""
+
+    def walk(node):
+        if draw(st.integers(0, 15)) == 5:
+            return draw(JSON_TREES)
+        if isinstance(node, dict):
+            return {k: walk(v) for k, v in node.items() if draw(st.integers(0, 31)) != 7}
+        if isinstance(node, list):
+            return [walk(v) for v in node]
+        return node
+
+    return walk(draw(documents))
+
+
+INSTANCE_TREES = scrambled(instances().map(lambda inst: instance_to_json(*inst)))
+CONTACT_TREES = scrambled(contact_payloads())
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("trees") / "input.json"
+
+
+class TestAnyJsonShape:
+    """Whatever JSON sits in the schema's slots, the exit code is 0 or 2."""
+
+    def run(self, path, payload, *argv):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "-i", str(path)])
+        assert code in (0, 2), err.getvalue()
+        assert (out.getvalue() == "") == (code == 2)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=INSTANCE_TREES)
+    def test_verdict(self, input_file, payload):
+        self.run(input_file, payload, "verdict")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=INSTANCE_TREES)
+    def test_invariants(self, input_file, payload):
+        self.run(input_file, payload, "invariants")
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=CONTACT_TREES)
+    def test_contact(self, input_file, payload):
+        self.run(input_file, payload, "contact")
