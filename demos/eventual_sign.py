@@ -7,8 +7,8 @@ When the alpha rule misreads the eventual sign of the margins
 The sign of the alpha invariant settles the positivity margins of
 O_X(h) throughout the band h < min(k), and for balanced data or
 hypersurfaces it settles every twist.  It is tempting to read the
-eventual sign (h large) off alpha as well, and the asymptotic verdict
-reports exactly that classical rule.
+eventual sign (h large) off alpha as well; that is the classical rule.
+The asymptotic verdict reads it off the exact stable polynomial instead.
 
 This script exhibits an unbalanced intersection where the rule fails.
 The reason is structural, not numerical noise: writing the margin over
@@ -75,8 +75,9 @@ print("predicted leading coefficient:", lead)
 print("interpolated leading coefficient:", stable_margin_poly(X).leading)
 
 # %%
-# The verdict layer reports the classical rule but carries the exact
-# polynomial data in its witnesses, so the disagreement is visible.
+# The verdict follows the exact sign (NotFPositiveEventually) and keeps
+# alpha among its witnesses, so the disagreement with the classical rule
+# stays visible.
 
 verdict = asymptotic_verdict(X)
 print("verdict:", verdict.conclusion)

@@ -51,8 +51,6 @@ from .invariants import (
     omega_pushforward,
     positivity_margin,
     pushforward,
-    pushforward_degree,
-    pushforward_rank,
     surface_formula_check,
 )
 from .oracles import (
@@ -131,8 +129,6 @@ __all__ = [
     "omega_pushforward",
     "positivity_margin",
     "pushforward",
-    "pushforward_degree",
-    "pushforward_rank",
     "slope_verdict",
     "small_h_verdict",
     "stable_margin_poly",

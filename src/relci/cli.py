@@ -33,6 +33,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -42,6 +43,7 @@ from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_inte
 from .errors import InputError, InternalCheckError
 from .invariants import (
     RelativeCI,
+    _margin,
     alpha_invariant,
     canonical_class,
     canonical_top_power,
@@ -49,20 +51,10 @@ from .invariants import (
     effectivity_violations,
     fibre_deg,
     h_top,
-    positivity_margin,
     pushforward,
 )
 from .oracles import SplitBundle, cross_check
-from .verdicts import (
-    Orientation,
-    VerdictReport,
-    asymptotic_verdict,
-    build_example,
-    h_sweep,
-    instability_verdict,
-    slope_verdict,
-    small_h_verdict,
-)
+from .verdicts import Orientation, VerdictReport, _verdicts, build_example, h_sweep
 from .svg import cone_diagram
 
 _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
@@ -211,13 +203,15 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns the (input echo, result, warnings) of its report.
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, _, echo = _load_instance(args.instance)
     h = args.h
     pf = pushforward(X, h)
-    rep = positivity_margin(X, h) if h >= 1 else None
+    rep = _margin(X, pf) if h >= 1 else None
     canon = canonical_class(X)
     result = {
         "h": h,
@@ -237,11 +231,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         result["e_cleared"] = rep.e_cleared
         result["e_rational"] = rep.e_rational
         result["sign"] = _SIGN_WORD[rep.sign]
-    _emit(_report("invariants", echo, result, _warnings(X)), args.pretty)
-    return 0
+    return echo, result, _warnings(X)
 
 
-def _cmd_verdict(args: argparse.Namespace) -> int:
+def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, _, echo = _load_instance(args.instance)
     bundle = X.bundle
     cls = ci_class(X)
@@ -259,18 +252,12 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
         )
         cone_part["bridge_membership"] = membership
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
-    result = {
-        "small_h": _verdict_dict(small_h_verdict(X)),
-        "asymptotic": _verdict_dict(asymptotic_verdict(X)),
-        "slope": _verdict_dict(slope_verdict(X)),
-        "instability": _verdict_dict(instability_verdict(X)),
-        "cone": cone_part,
-    }
-    _emit(_report("verdict", echo, result, _warnings(X)), args.pretty)
-    return 0
+    result = {name: _verdict_dict(v) for name, v in _verdicts(X).items()}
+    result["cone"] = cone_part
+    return echo, result, _warnings(X)
 
 
-def _cmd_cones(args: argparse.Namespace) -> int:
+def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, _, echo = _load_instance(args.instance)
     bundle = X.bundle
     if not bundle.has_hn:
@@ -300,11 +287,10 @@ def _cmd_cones(args: argparse.Namespace) -> int:
         "coincide": bundle.is_semistable,
         "svg": svg_path,
     }
-    _emit(_report("cones", echo, result, _warnings(X)), args.pretty)
-    return 0
+    return echo, result, _warnings(X)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, _, echo = _load_instance(args.instance)
     sweep = h_sweep(X, args.h_max)
     result = {
@@ -316,11 +302,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "sign_stable_from": sweep.sign_stable_from,
         "eventual_sign": _SIGN_WORD[sweep.eventual_sign],
     }
-    _emit(_report("sweep", echo, result, _warnings(X)), args.pretty)
-    return 0
+    return echo, result, _warnings(X)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, split, echo = _load_instance(args.instance)
     if split is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
@@ -332,11 +317,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "mismatches": mismatches,
         "status": "all 4 oracle suites passed" if not mismatches else "oracle mismatch",
     }
-    _emit(_report("oracle", echo, result, _warnings(X)), args.pretty)
-    return 0 if not mismatches else 4
+    return echo, result, _warnings(X)
 
 
-def _cmd_contact(args: argparse.Namespace) -> int:
+def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     data = _shaped(_read_json(args.instance), dict, "contact input")
     try:
         weights = WeightFiltration(
@@ -366,11 +350,10 @@ def _cmd_contact(args: argparse.Namespace) -> int:
     }
     echo = {name: {"dim": T.dim, "deg": T.deg, "e_f": T.e_f} for name, T in insts.items()}
     echo["weights"] = list(weights.weights)
-    _emit(_report("contact", echo, result, []), args.pretty)
-    return 0
+    return echo, result, []
 
 
-def _cmd_example(args: argparse.Namespace) -> int:
+def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     bundle, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
     echo = {
         "a": args.a,
@@ -388,8 +371,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         "ci": {"k": list(X.k), "y": list(X.y)},
         "verdict": _verdict_dict(report),
     }
-    _emit(_report("example", echo, result, []), args.pretty)
-    return 0
+    return echo, result, []
 
 
 # ------------------------------------------------------------------ parser
@@ -405,7 +387,9 @@ def _add_common(sp: argparse.ArgumentParser, instance: bool = True) -> None:
     group.add_argument("--pretty", action="store_true", help="indented JSON output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="relci",
         description="exact invariants and verdicts for relative complete intersections",
@@ -467,16 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        echo, result, warnings = args.func(args)
     except InputError as exc:
         print(f"relci: invalid input: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"relci: internal check failed: {exc}", file=sys.stderr)
         return 3
+    _emit(_report(args.command, echo, result, warnings), args.pretty)
+    return 4 if result.get("mismatches") else 0  # only ``oracle`` reports mismatches
 
 
 if __name__ == "__main__":

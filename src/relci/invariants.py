@@ -12,9 +12,10 @@ Everything here is an exact integer or rational identity in the data
 (r, d, k, y, h):
 
 * top self-intersection of the tautological class on X and on F;
-* rank and degree of the pushforward of O_X(h), via the alternating
-  Koszul sums over index subsets (the degree formula carries a global
-  /r that always cancels; this is asserted on every call);
+* rank and degree of the pushforward of O_X(h), together from one
+  alternating Koszul sum over index subsets (``pushforward``, the only
+  place it is evaluated; the degree carries a global /r that always
+  cancels, and this is asserted on every call);
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -53,8 +54,6 @@ __all__ = [
     "SurfaceFormulaReport",
     "h_top",
     "fibre_deg",
-    "pushforward_rank",
-    "pushforward_degree",
     "pushforward",
     "alpha_invariant",
     "positivity_margin",
@@ -190,28 +189,15 @@ def fibre_deg(X: RelativeCI) -> int:
     return X.k_prod
 
 
-def pushforward_rank(X: RelativeCI, h: int) -> int:
-    """Rank of the pushforward of O_X(h); equals h^0 of O_F(h) on a fibre.
+def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
+    """Rank and degree of the pushforward of O_X(h): the one Koszul sum.
 
-    Alternating sum of binom(h - k_I + r - 1, r - 1) over index subsets
-    I, with the truncated-binomial convention killing over-twisted
-    terms.  Subsets are aggregated by their k-sum, so balanced data
-    collapses to binomial weights automatically.
-    """
-    if h < 0:
-        raise InputError(f"twist h must be >= 0, got {h}")
-    r = X.rank
-    cnt, _ = X.tables
-    return sum(
-        c * binom_trunc(h - s + r - 1, r - 1) for s, c in enumerate(cnt) if c
-    )
-
-
-def pushforward_degree(X: RelativeCI, h: int) -> int:
-    """Degree of the pushforward of O_X(h).
-
-    Same alternating Koszul sum with each term weighted by
-    ((h - k_I) * d + y_I * r) / r.  The global /r always cancels in the
+    Alternating sum over index subsets I, aggregated by their k-sum s,
+    of binom(h - s + r - 1, r - 1) (the truncated-binomial convention
+    kills the over-twisted terms s > h).  The rank (h^0 of O_F(h) on a
+    fibre) weights each term by the signed count of subsets; the degree
+    weights it by ((h - k_I) * d + y_I * r) / r.  One binomial per level
+    feeds both.  The global /r of the degree always cancels in the
     total; a non-integral result would mean a transcribed-formula bug
     and aborts hard.
     """
@@ -219,21 +205,17 @@ def pushforward_degree(X: RelativeCI, h: int) -> int:
         raise InputError(f"twist h must be >= 0, got {h}")
     r, d = X.rank, X.degree
     cnt, val = X.tables
-    num = 0
-    for s, (c, v) in enumerate(zip(cnt, val)):
+    rank = num = 0
+    for s, (c, v) in enumerate(zip(cnt[: h + 1], val[: h + 1])):
         if c or v:
             b = binom_trunc(h - s + r - 1, r - 1)
-            if b:
-                num += b * (c * (h - s) * d + v * r)
+            rank += c * b
+            num += b * (c * (h - s) * d + v * r)
     if num % r:
         raise InternalCheckError(
             f"pushforward degree not integral: {num}/{r} for {X!r}, h={h}"
         )
-    return num // r
-
-
-def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
-    return PushforwardSummary(h, pushforward_rank(X, h), pushforward_degree(X, h))
+    return PushforwardSummary(h, rank, num // r)
 
 
 def alpha_invariant(X: RelativeCI) -> int:
@@ -258,10 +240,13 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     """
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
-    n = X.dim
-    rank = pushforward_rank(X, h)
-    deg = pushforward_degree(X, h)
-    cleared = h**n * h_top(X) * rank - n * h ** (n - 1) * fibre_deg(X) * deg
+    return _margin(X, pushforward(X, h))
+
+
+def _margin(X: RelativeCI, pf: PushforwardSummary) -> PositivityReport:
+    """The positivity margin of O_X(pf.h) from its evaluated pushforward."""
+    h, n, rank = pf.h, X.dim, pf.rank
+    cleared = h**n * h_top(X) * rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
     rational = Fraction(cleared, rank) if rank > 0 else None
     sign = (cleared > 0) - (cleared < 0)
     return PositivityReport(h, cleared, rational, sign)
@@ -317,26 +302,32 @@ def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     h = k_sum - r (the geometric genus of a fibre) and the degree picks
     up -(y_sum - d) times that rank.  Needs k_sum > r.
     """
-    h0 = _require_ample_canonical(X)
-    rank = pushforward_rank(X, h0)
-    degree = pushforward_degree(X, h0) - (X.y_sum - X.degree) * rank
-    return PushforwardSummary(h0, rank, degree)
+    return _omega(X, pushforward(X, _require_ample_canonical(X)))
+
+
+def _omega(X: RelativeCI, pf: PushforwardSummary) -> PushforwardSummary:
+    return PushforwardSummary(pf.h, pf.rank, pf.degree - (X.y_sum - X.degree) * pf.rank)
 
 
 def canonical_margin(X: RelativeCI) -> PositivityReport:
     """Margin of the slope inequality for the relative canonical class.
 
-    Computed twice: directly from K_f (top power, fibre restriction
-    power, pushforward of the dualizing sheaf) and as the plain margin
-    of O_X(k_sum - r).  Margins are invariant under twisting by
-    pullbacks from the base, so the two cleared values agree exactly;
-    any difference aborts hard.  Needs k_sum > r.
+    Computed twice from one pushforward at h0 = k_sum - r: directly from
+    K_f (top power, fibre restriction power, pushforward of the
+    dualizing sheaf) and as the plain margin of O_X(h0).  Margins are
+    invariant under twisting by pullbacks from the base, so the two
+    cleared values agree exactly; any difference aborts hard.  Needs
+    k_sum > r.
     """
-    h0 = _require_ample_canonical(X)
+    return _canonical_margin(X, pushforward(X, _require_ample_canonical(X)))
+
+
+def _canonical_margin(X: RelativeCI, pf: PushforwardSummary) -> PositivityReport:
+    """``canonical_margin`` from the evaluated pushforward at h0 = k_sum - r."""
     n = X.dim
-    report = positivity_margin(X, h0)
-    omega = omega_pushforward(X)
-    kf_fibre_power = h0 ** (n - 1) * fibre_deg(X)
+    report = _margin(X, pf)
+    omega = _omega(X, pf)
+    kf_fibre_power = pf.h ** (n - 1) * fibre_deg(X)
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
     if direct != report.e_cleared:
         raise InternalCheckError(

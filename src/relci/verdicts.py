@@ -5,20 +5,21 @@ it and the exact witnesses behind it.  No conclusion other than
 "Undetermined" / "NoConclusion" is ever reported with a failed
 hypothesis flag; the constructor enforces this.
 
-The asymptotic verdict deserves a health warning.  The classical rule
-it implements reads the eventual sign of the twist margins off the sign
-of the alpha invariant.  For balanced data and for hypersurfaces this
-is provably exact, but for unbalanced data in codimension two or more
-it can fail: the candidate top coefficient of the stable margin
-polynomial cancels identically, and the surviving leading coefficient
+The asymptotic verdict takes its label from the exact sign of the
+stable margin polynomial, not from the classical rule that reads the
+eventual sign of the twist margins off the sign of the alpha invariant.
+That rule is provably exact for balanced data and for hypersurfaces,
+but for unbalanced data in codimension two or more it can fail: the
+candidate top coefficient of the stable margin polynomial cancels
+identically, and the surviving leading coefficient
 
     fibre_deg * (alpha * (k_sum - r)
                  + dim X * fibre_deg * (k_sum * d - r * y_sum))
         / (2 * r * (dim X - 1)!)
 
-mixes alpha with a second slope comparison.  The verdict therefore
-always carries the exact stable polynomial data among its witnesses,
-and ``h_sweep`` computes the true eventual sign from it.
+mixes alpha with a second slope comparison.  The verdict keeps alpha
+among its witnesses next to the exact stable polynomial data, so a
+disagreement with the classical rule stays visible.
 """
 
 from __future__ import annotations
@@ -26,18 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from functools import cache, partial
+from typing import Any, Callable
 
 from .bundles import BundleOverCurve
 from .errors import InputError, InternalCheckError
 from .exact import RatPoly, interpolate
 from .invariants import (
     PositivityReport,
+    PushforwardSummary,
     RelativeCI,
+    _canonical_margin,
+    _margin,
     alpha_invariant,
-    canonical_margin,
     canonical_top_power,
     positivity_margin,
+    pushforward,
 )
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
 ]
 
 _NO_CONCLUSION = ("Undetermined", "NoConclusion")
+_EVENTUAL_LABEL = {1: "StrictlyFPositiveEventually", -1: "NotFPositiveEventually", 0: "Boundary"}
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,13 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     sum_i y_i/k_i <= c * mu(E).  All three readings are computed
     independently and must agree.
     """
+    return _small_h_verdict(X, partial(pushforward, X))
+
+
+def _small_h_verdict(X: RelativeCI, at: Callable[[int], PushforwardSummary]) -> VerdictReport:
     a = alpha_invariant(X)
     c_mu = X.codim * X.bundle.slope
-    margins = {h: positivity_margin(X, h).e_cleared for h in range(1, min(X.k))}
+    margins = {h: _margin(X, at(h)).e_cleared for h in range(1, min(X.k))}
     by_alpha = a >= 0
     by_ratio = X.ratio_sum <= c_mu
     by_margins = all(m >= 0 for m in margins.values())
@@ -122,44 +132,43 @@ def stable_margin_poly(X: RelativeCI) -> RatPoly:
     exactly.  Its degree is at most dim X - 1: the degree-(dim X)
     coefficient cancels identically between the rank and degree parts.
     """
+    return _stable_poly(X, ())
+
+
+def _stable_poly(X: RelativeCI, reports: tuple[PositivityReport, ...]) -> RatPoly:
+    """``stable_margin_poly``, reading the margin at h from reports[h - 1] where given."""
     n = X.dim
     samples = []
     for h in range(X.k_sum, X.k_sum + n + 2):
-        rep = positivity_margin(X, h)
+        rep = reports[h - 1] if h <= len(reports) else positivity_margin(X, h)
         samples.append((h, Fraction(rep.e_cleared, h ** (n - 1))))
     return interpolate(samples)
 
 
 def asymptotic_verdict(X: RelativeCI) -> VerdictReport:
-    """Eventual positivity of O_X(h) as read off the alpha invariant.
+    """Eventual positivity of O_X(h), read off the exact stable polynomial.
 
-    Strictly positive alpha is reported as eventually strictly
-    positive, negative alpha as eventually failing, zero alpha as a
-    boundary case whose next coefficient (degree dim X - 1 of the
-    stable polynomial) is reported without any label.  The witnesses
-    always include the exact stable polynomial degree, leading
-    coefficient and true eventual sign; for unbalanced data these can
-    contradict the alpha-based label (see the module docstring).
+    The label is the sign of the leading coefficient, proven since the
+    polynomial is the normalised margin for every h >= k_sum - r + 1;
+    the zero polynomial is a boundary case whose next coefficient
+    (degree dim X - 1) is reported without any label.  The witnesses
+    keep alpha, whose sign can disagree on unbalanced data (see the
+    module docstring).
     """
     a = alpha_invariant(X)
     poly = stable_margin_poly(X)
     lead = poly.leading
-    if a > 0:
-        conclusion = "StrictlyFPositiveEventually"
-    elif a < 0:
-        conclusion = "NotFPositiveEventually"
-    else:
-        conclusion = "Boundary"
+    sign = (lead > 0) - (lead < 0)
     return VerdictReport(
         theorem="Asymptotic",
         hypotheses=(),
-        conclusion=conclusion,
+        conclusion=_EVENTUAL_LABEL[sign],
         witnesses={
             "alpha": a,
             "stable_poly_degree": poly.degree,
             "stable_leading_coeff": lead,
             "next_coeff": poly.coefficient(X.dim - 1),
-            "exact_eventual_sign": (lead > 0) - (lead < 0),
+            "exact_eventual_sign": sign,
         },
     )
 
@@ -172,6 +181,10 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     canonical margin, and mu(E) >= y_sum / (c*k).  They are evaluated
     independently and must coincide.
     """
+    return _slope_verdict(X, partial(pushforward, X))
+
+
+def _slope_verdict(X: RelativeCI, at: Callable[[int], PushforwardSummary]) -> VerdictReport:
     r, c = X.rank, X.codim
     gates = (
         ("balanced", X.balanced),
@@ -187,7 +200,7 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
         )
     k = X.k[0]
     kf = canonical_top_power(X)
-    margin = canonical_margin(X)
+    margin = _canonical_margin(X, at(X.k_sum - r))
     crit = X.bundle.slope >= Fraction(X.y_sum, c * k)
     if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
         raise InternalCheckError(
@@ -236,6 +249,18 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
         conclusion="ChowUnstableFibres",
         witnesses=witnesses,
     )
+
+
+def _verdicts(X: RelativeCI) -> dict[str, VerdictReport]:
+    """The four verdicts on X; the small-twist band can hold the slope
+    verdict's canonical twist k_sum - r, which is then evaluated once."""
+    at = cache(partial(pushforward, X))
+    return {
+        "small_h": _small_h_verdict(X, at),
+        "asymptotic": asymptotic_verdict(X),
+        "slope": _slope_verdict(X, at),
+        "instability": instability_verdict(X),
+    }
 
 
 class Orientation(str, Enum):
@@ -322,7 +347,7 @@ def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {h_max}")
     reports = tuple(positivity_margin(X, h) for h in range(1, h_max + 1))
-    poly = stable_margin_poly(X)
+    poly = _stable_poly(X, reports)
     lead = poly.leading
     return SweepResult(
         reports=reports,

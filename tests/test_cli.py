@@ -2,14 +2,19 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, invariants
+from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, invariants, oracles
 from relci.bundles import split_hn_blocks
 from relci.cli import instance_from_json, instance_to_json, main
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 WORKED = {
     "bundle": {"rank": 4, "degree": 4, "base_genus": 0, "split": [1, 1, 1, 1]},
@@ -285,8 +290,13 @@ class TestExampleCommand:
 
 class TestOracleCanFail:
     def test_wrong_degree_is_reported(self, capsys, monkeypatch, worked_file):
-        true_degree = invariants.pushforward_degree
-        monkeypatch.setattr(invariants, "pushforward_degree", lambda X, h: true_degree(X, h) + 1)
+        true_pushforward = oracles.pushforward
+
+        def off_by_one(X, h):
+            pf = true_pushforward(X, h)
+            return replace(pf, degree=pf.degree + 1)
+
+        monkeypatch.setattr(oracles, "pushforward", off_by_one)
         split = SplitBundle((1, 1, 1, 1))
         checks, mismatches = cross_check(RelativeCI(split.to_bundle(), (3, 3), (1, 2)), split, 4)
         assert checks["koszul_vs_degree"] == 5
@@ -294,6 +304,35 @@ class TestOracleCanFail:
         code, out, _ = run_main(capsys, "oracle", "-i", worked_file, "--h-max", "4")
         assert code == 4
         assert json.loads(out)["result"]["status"] == "oracle mismatch"
+
+
+class TestEachTwistOnce:
+    """Within one command every (instance, twist) pair reaches the Koszul sum once."""
+
+    @pytest.mark.parametrize("argv, twists", [
+        (["invariants", "-h", "7"], {7}),
+        # small-twist band 1..2 (which holds the canonical twist 2) and
+        # the stable-polynomial samples 6..9
+        (["verdict"], {1, 2, 6, 7, 8, 9}),
+        # the samples 6..9 fall inside the sweep and are read from it
+        (["sweep", "--h-max", "40"], set(range(1, 41))),
+    ], ids=["invariants", "verdict", "sweep"])
+    def test_worked_instance(self, capsys, monkeypatch, argv, twists):
+        true_pushforward = invariants.pushforward
+        seen = Counter()
+
+        def counted(X, h):
+            seen[X, h] += 1
+            return true_pushforward(X, h)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "relci"]:
+            for attr, value in list(vars(module).items()):
+                if value is true_pushforward:
+                    monkeypatch.setattr(module, attr, counted)
+        code, _, _ = run_main(capsys, *argv, "-i", str(DEMOS / "instances" / "worked.json"))
+        assert code == 0
+        assert {n for n in seen.values() if n > 1} == set()
+        assert {h for _, h in seen} == twists
 
 
 @st.composite

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from relci import BundleOverCurve, InputError, RelativeCI, SplitBundle
 from relci.exact import RatPoly, binom_trunc, interpolate, signed_subset_tables, subsets_of_size
-from relci.invariants import pushforward_rank
+from relci.invariants import pushforward
 from relci.oracles import hilbert_series_rank
 
 
@@ -84,7 +84,7 @@ class TestInterpolate:
         # sum; its leading coefficient is the fibre degree over 1!, which
         # the Hilbert-series oracle pins down independently.
         X = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
-        samples = [(h, pushforward_rank(X, h)) for h in range(6, 10)]
+        samples = [(h, pushforward(X, h).rank) for h in range(6, 10)]
         for h, v in samples:
             assert v == hilbert_series_rank((3, 3), 4, h)
         poly = interpolate(samples)

@@ -82,11 +82,11 @@ class TestAsymptotic:
         # unbalanced instance whose margins end negative although the
         # alpha invariant is strictly positive: the top coefficient of
         # the stable polynomial cancels and the surviving leading term
-        # has the opposite sign
+        # has the opposite sign, which the label follows
         X = plain(4, 1, (2, 5), (-2, 7))
         assert alpha_invariant(X) == 4
         rep = asymptotic_verdict(X)
-        assert rep.conclusion == "StrictlyFPositiveEventually"
+        assert rep.conclusion == "NotFPositiveEventually"
         assert rep.witnesses["exact_eventual_sign"] == -1
         assert rep.witnesses["stable_leading_coeff"] == -310
         sweep = h_sweep(X, 3)
@@ -94,6 +94,28 @@ class TestAsymptotic:
         from relci import positivity_margin
 
         assert positivity_margin(X, h).e_cleared < 0
+
+    def test_label_follows_exact_sign_on_unbalanced_draws(self, rng):
+        from relci import positivity_margin
+
+        labels = {1: "StrictlyFPositiveEventually", -1: "NotFPositiveEventually", 0: "Boundary"}
+        unbalanced = alpha_misreads = 0
+        for _ in range(300):
+            X = make_ci(rng)
+            if X.balanced:
+                continue
+            unbalanced += 1
+            rep = asymptotic_verdict(X)
+            sign = rep.witnesses["exact_eventual_sign"]
+            assert rep.conclusion == labels[sign]
+            # the stable polynomial is an identity past k_sum - r, so
+            # the margins beyond its root bound carry the same sign
+            h = h_sweep(X, 1).sign_stable_from + 1
+            assert positivity_margin(X, h).sign == sign
+            a = rep.witnesses["alpha"]
+            alpha_misreads += (a > 0) - (a < 0) != sign
+        assert unbalanced >= 100
+        assert alpha_misreads  # the draws include cases the alpha rule gets wrong
 
     def test_stable_poly_degree_bound(self, rng):
         # the naive top degree dim X always cancels exactly
