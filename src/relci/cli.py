@@ -23,6 +23,9 @@ must then agree with ``hn`` when both are present).
 ``-i -`` reads the JSON from standard input.  A section of the wrong
 JSON type (say a list where an object belongs) is invalid input.
 
+Work is bounded before any table is built: ``ci.k`` sums to at most
+``MAX_K_SUM`` and ``sweep --h-max`` is at most ``MAX_SWEEP_H``.
+
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
 """
@@ -43,7 +46,6 @@ from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_inte
 from .errors import InputError, InternalCheckError
 from .invariants import (
     RelativeCI,
-    _margin,
     alpha_invariant,
     canonical_class,
     canonical_top_power,
@@ -51,11 +53,16 @@ from .invariants import (
     effectivity_violations,
     fibre_deg,
     h_top,
+    positivity_margin,
     pushforward,
 )
 from .oracles import SplitBundle, cross_check
-from .verdicts import Orientation, VerdictReport, _verdicts, build_example, h_sweep
+from .verdicts import Orientation, VerdictReport, build_example, h_sweep
+from .verdicts import asymptotic_verdict, instability_verdict, slope_verdict, small_h_verdict
 from .svg import cone_diagram
+
+MAX_K_SUM = 10_000
+MAX_SWEEP_H = 10_000
 
 _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
 
@@ -144,6 +151,8 @@ def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
     y = tuple(_int(v, "ci.y") for v in _shaped(ciraw.get("y", []), list, "ci.y"))
     if not k:
         raise InputError("ci.k must be a nonempty list")
+    if sum(k) > MAX_K_SUM:
+        raise InputError(f"ci.k sums to {sum(k)}, above the limit {MAX_K_SUM}")
     return RelativeCI(bundle, k, y), split
 
 
@@ -211,7 +220,7 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     X, _, echo = _load_instance(args.instance)
     h = args.h
     pf = pushforward(X, h)
-    rep = _margin(X, pf) if h >= 1 else None
+    rep = positivity_margin(X, h) if h >= 1 else None
     canon = canonical_class(X)
     result = {
         "h": h,
@@ -252,7 +261,13 @@ def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         )
         cone_part["bridge_membership"] = membership
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
-    result = {name: _verdict_dict(v) for name, v in _verdicts(X).items()}
+    verdicts = {
+        "small_h": small_h_verdict(X),
+        "asymptotic": asymptotic_verdict(X),
+        "slope": slope_verdict(X),
+        "instability": instability_verdict(X),
+    }
+    result = {name: _verdict_dict(v) for name, v in verdicts.items()}
     result["cone"] = cone_part
     return echo, result, _warnings(X)
 
@@ -291,6 +306,8 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
+    if args.h_max > MAX_SWEEP_H:
+        raise InputError(f"--h-max {args.h_max} is above the limit {MAX_SWEEP_H}")
     X, _, echo = _load_instance(args.instance)
     sweep = h_sweep(X, args.h_max)
     result = {
@@ -393,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relci",
         description="exact invariants and verdicts for relative complete intersections",
+        epilog=f"limits: the entries of ci.k in an instance file sum to at most "
+               f"{MAX_K_SUM}; sweep --h-max is at most {MAX_SWEEP_H}",
     )
     parser.add_argument("--version", action="version", version=f"relci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", add_help=False, help="margins over a twist range")
     _add_common(sp)
     sp.add_argument("--h-max", dest="h_max", type=int, default=12, metavar="N",
-                    help="largest twist to report (default 12)")
+                    help=f"largest twist to report (default 12, at most {MAX_SWEEP_H})")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("oracle", add_help=False,

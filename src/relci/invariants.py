@@ -13,9 +13,10 @@ Everything here is an exact integer or rational identity in the data
 
 * top self-intersection of the tautological class on X and on F;
 * rank and degree of the pushforward of O_X(h), together from one
-  alternating Koszul sum over index subsets (``pushforward``, the only
-  place it is evaluated; the degree carries a global /r that always
-  cancels, and this is asserted on every call);
+  alternating Koszul sum over index subsets (``pushforward``, evaluated
+  once per instance and twist and memoised on the instance; the degree
+  carries a global /r that always cancels, and this is asserted on
+  every evaluation);
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -147,6 +148,13 @@ class RelativeCI:
         cnt, val = signed_subset_tables(self.k, self.y)
         return tuple(cnt), tuple(val)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Pushforwards by twist and the stable margin polynomial, once per instance.
+
+        Not a field, so ``==`` and ``hash`` ignore it."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PushforwardSummary:
@@ -190,7 +198,7 @@ def fibre_deg(X: RelativeCI) -> int:
 
 
 def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
-    """Rank and degree of the pushforward of O_X(h): the one Koszul sum.
+    """Rank and degree of the pushforward of O_X(h), evaluated once per instance.
 
     Alternating sum over index subsets I, aggregated by their k-sum s,
     of binom(h - s + r - 1, r - 1) (the truncated-binomial convention
@@ -203,6 +211,14 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     """
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
+    memo = X._memo
+    pf = memo.get(h)
+    if pf is None:
+        pf = memo[h] = _koszul_sum(X, h)
+    return pf
+
+
+def _koszul_sum(X: RelativeCI, h: int) -> PushforwardSummary:
     r, d = X.rank, X.degree
     cnt, val = X.tables
     rank = num = 0
@@ -240,12 +256,8 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     """
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
-    return _margin(X, pushforward(X, h))
-
-
-def _margin(X: RelativeCI, pf: PushforwardSummary) -> PositivityReport:
-    """The positivity margin of O_X(pf.h) from its evaluated pushforward."""
-    h, n, rank = pf.h, X.dim, pf.rank
+    pf = pushforward(X, h)
+    n, rank = X.dim, pf.rank
     cleared = h**n * h_top(X) * rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
     rational = Fraction(cleared, rank) if rank > 0 else None
     sign = (cleared > 0) - (cleared < 0)
@@ -284,16 +296,6 @@ def canonical_top_power(X: RelativeCI) -> int:
     )
 
 
-def _require_ample_canonical(X: RelativeCI) -> int:
-    h0 = X.k_sum - X.rank
-    if h0 <= 0:
-        raise HypothesisError(
-            f"relative canonical class is not ample in the needed sense: "
-            f"k_sum = {X.k_sum} <= rank = {X.rank}"
-        )
-    return h0
-
-
 def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     """Rank and degree of the pushforward of the relative dualizing sheaf.
 
@@ -302,32 +304,30 @@ def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     h = k_sum - r (the geometric genus of a fibre) and the degree picks
     up -(y_sum - d) times that rank.  Needs k_sum > r.
     """
-    return _omega(X, pushforward(X, _require_ample_canonical(X)))
-
-
-def _omega(X: RelativeCI, pf: PushforwardSummary) -> PushforwardSummary:
+    h0 = X.k_sum - X.rank
+    if h0 <= 0:
+        raise HypothesisError(
+            f"relative canonical class is not ample in the needed sense: "
+            f"k_sum = {X.k_sum} <= rank = {X.rank}"
+        )
+    pf = pushforward(X, h0)
     return PushforwardSummary(pf.h, pf.rank, pf.degree - (X.y_sum - X.degree) * pf.rank)
 
 
 def canonical_margin(X: RelativeCI) -> PositivityReport:
     """Margin of the slope inequality for the relative canonical class.
 
-    Computed twice from one pushforward at h0 = k_sum - r: directly from
+    Computed twice from the pushforward at h0 = k_sum - r: directly from
     K_f (top power, fibre restriction power, pushforward of the
     dualizing sheaf) and as the plain margin of O_X(h0).  Margins are
     invariant under twisting by pullbacks from the base, so the two
     cleared values agree exactly; any difference aborts hard.  Needs
     k_sum > r.
     """
-    return _canonical_margin(X, pushforward(X, _require_ample_canonical(X)))
-
-
-def _canonical_margin(X: RelativeCI, pf: PushforwardSummary) -> PositivityReport:
-    """``canonical_margin`` from the evaluated pushforward at h0 = k_sum - r."""
     n = X.dim
-    report = _margin(X, pf)
-    omega = _omega(X, pf)
-    kf_fibre_power = pf.h ** (n - 1) * fibre_deg(X)
+    omega = omega_pushforward(X)
+    report = positivity_margin(X, omega.h)
+    kf_fibre_power = omega.h ** (n - 1) * fibre_deg(X)
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
     if direct != report.e_cleared:
         raise InternalCheckError(

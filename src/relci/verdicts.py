@@ -27,22 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
-from typing import Any, Callable
+from typing import Any
 
 from .bundles import BundleOverCurve
 from .errors import InputError, InternalCheckError
 from .exact import RatPoly, interpolate
 from .invariants import (
     PositivityReport,
-    PushforwardSummary,
     RelativeCI,
-    _canonical_margin,
-    _margin,
     alpha_invariant,
+    canonical_margin,
     canonical_top_power,
     positivity_margin,
-    pushforward,
 )
 
 __all__ = [
@@ -95,13 +91,9 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     sum_i y_i/k_i <= c * mu(E).  All three readings are computed
     independently and must agree.
     """
-    return _small_h_verdict(X, partial(pushforward, X))
-
-
-def _small_h_verdict(X: RelativeCI, at: Callable[[int], PushforwardSummary]) -> VerdictReport:
     a = alpha_invariant(X)
     c_mu = X.codim * X.bundle.slope
-    margins = {h: _margin(X, at(h)).e_cleared for h in range(1, min(X.k))}
+    margins = {h: positivity_margin(X, h).e_cleared for h in range(1, min(X.k))}
     by_alpha = a >= 0
     by_ratio = X.ratio_sum <= c_mu
     by_margins = all(m >= 0 for m in margins.values())
@@ -131,18 +123,17 @@ def stable_margin_poly(X: RelativeCI) -> RatPoly:
     dim X + 2 integers starting at k_sum recovers the polynomial
     exactly.  Its degree is at most dim X - 1: the degree-(dim X)
     coefficient cancels identically between the rank and degree parts.
+    Interpolated once per instance and memoised on it.
     """
-    return _stable_poly(X, ())
-
-
-def _stable_poly(X: RelativeCI, reports: tuple[PositivityReport, ...]) -> RatPoly:
-    """``stable_margin_poly``, reading the margin at h from reports[h - 1] where given."""
-    n = X.dim
-    samples = []
-    for h in range(X.k_sum, X.k_sum + n + 2):
-        rep = reports[h - 1] if h <= len(reports) else positivity_margin(X, h)
-        samples.append((h, Fraction(rep.e_cleared, h ** (n - 1))))
-    return interpolate(samples)
+    memo = X._memo
+    poly = memo.get("stable_margin_poly")
+    if poly is None:
+        n = X.dim
+        poly = memo["stable_margin_poly"] = interpolate([
+            (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
+            for h in range(X.k_sum, X.k_sum + n + 2)
+        ])
+    return poly
 
 
 def asymptotic_verdict(X: RelativeCI) -> VerdictReport:
@@ -181,10 +172,6 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     canonical margin, and mu(E) >= y_sum / (c*k).  They are evaluated
     independently and must coincide.
     """
-    return _slope_verdict(X, partial(pushforward, X))
-
-
-def _slope_verdict(X: RelativeCI, at: Callable[[int], PushforwardSummary]) -> VerdictReport:
     r, c = X.rank, X.codim
     gates = (
         ("balanced", X.balanced),
@@ -200,7 +187,7 @@ def _slope_verdict(X: RelativeCI, at: Callable[[int], PushforwardSummary]) -> Ve
         )
     k = X.k[0]
     kf = canonical_top_power(X)
-    margin = _canonical_margin(X, at(X.k_sum - r))
+    margin = canonical_margin(X)
     crit = X.bundle.slope >= Fraction(X.y_sum, c * k)
     if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
         raise InternalCheckError(
@@ -225,9 +212,12 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
 
     When sum_i y_i/k_i strictly exceeds c * mu(E) (the class of X lies
     strictly outside the bridge cone), the fibres are Chow unstable in
-    the small-twist band and asymptotically; balanced data with
-    c*k > r are additionally unstable with respect to the dualizing
-    sheaf.  When the excess fails there is no conclusion either way.
+    the small-twist band, where the excess is equivalent to negative
+    margins; balanced data with c*k > r are additionally unstable with
+    respect to the dualizing sheaf.  The excess does not settle large
+    twists on unbalanced data, so ``unstable_large_h`` is read off the
+    exact stable polynomial: it holds exactly when the margins end
+    negative.  When the excess fails there is no conclusion either way.
     """
     c_mu = X.codim * X.bundle.slope
     excess = X.ratio_sum > c_mu
@@ -241,7 +231,7 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
         )
     dualizing = X.balanced and X.codim * X.k[0] > X.rank
     witnesses["unstable_small_h"] = True
-    witnesses["unstable_large_h"] = True
+    witnesses["unstable_large_h"] = stable_margin_poly(X).leading < 0
     witnesses["unstable_dualizing"] = dualizing
     return VerdictReport(
         theorem="Instability",
@@ -249,18 +239,6 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
         conclusion="ChowUnstableFibres",
         witnesses=witnesses,
     )
-
-
-def _verdicts(X: RelativeCI) -> dict[str, VerdictReport]:
-    """The four verdicts on X; the small-twist band can hold the slope
-    verdict's canonical twist k_sum - r, which is then evaluated once."""
-    at = cache(partial(pushforward, X))
-    return {
-        "small_h": _small_h_verdict(X, at),
-        "asymptotic": asymptotic_verdict(X),
-        "slope": _slope_verdict(X, at),
-        "instability": instability_verdict(X),
-    }
 
 
 class Orientation(str, Enum):
@@ -347,7 +325,7 @@ def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {h_max}")
     reports = tuple(positivity_margin(X, h) for h in range(1, h_max + 1))
-    poly = _stable_poly(X, reports)
+    poly = stable_margin_poly(X)
     lead = poly.leading
     return SweepResult(
         reports=reports,

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, invariants, oracles
+from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, exact, invariants, oracles
 from relci.bundles import split_hn_blocks
-from relci.cli import instance_from_json, instance_to_json, main
+from relci.cli import MAX_K_SUM, MAX_SWEEP_H, instance_from_json, instance_to_json, main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -306,6 +306,14 @@ class TestOracleCanFail:
         assert json.loads(out)["result"]["status"] == "oracle mismatch"
 
 
+def rebind(monkeypatch, fn, replacement):
+    """Replace ``fn`` under every name bound to it in a loaded ``relci`` module."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "relci"]:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 class TestEachTwistOnce:
     """Within one command every (instance, twist) pair reaches the Koszul sum once."""
 
@@ -318,21 +326,34 @@ class TestEachTwistOnce:
         (["sweep", "--h-max", "40"], set(range(1, 41))),
     ], ids=["invariants", "verdict", "sweep"])
     def test_worked_instance(self, capsys, monkeypatch, argv, twists):
-        true_pushforward = invariants.pushforward
+        true_sum = invariants._koszul_sum
         seen = Counter()
 
         def counted(X, h):
             seen[X, h] += 1
-            return true_pushforward(X, h)
+            return true_sum(X, h)
 
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "relci"]:
-            for attr, value in list(vars(module).items()):
-                if value is true_pushforward:
-                    monkeypatch.setattr(module, attr, counted)
+        rebind(monkeypatch, true_sum, counted)
         code, _, _ = run_main(capsys, *argv, "-i", str(DEMOS / "instances" / "worked.json"))
         assert code == 0
         assert {n for n in seen.values() if n > 1} == set()
         assert {h for _, h in seen} == twists
+
+    # unstable.json has the instability excess, so its verdict needs the
+    # stable polynomial twice: in the asymptotic and instability verdicts
+    @pytest.mark.parametrize("name", ["worked", "unstable"])
+    def test_verdict_interpolates_once(self, capsys, monkeypatch, name):
+        true_interpolate = exact.interpolate
+        calls = []
+
+        def counted(samples):
+            calls.append(samples)
+            return true_interpolate(samples)
+
+        rebind(monkeypatch, true_interpolate, counted)
+        code, _, _ = run_main(capsys, "verdict", "-i", str(DEMOS / "instances" / f"{name}.json"))
+        assert code == 0
+        assert len(calls) == 1
 
 
 @st.composite
@@ -392,6 +413,32 @@ class TestWrongShapes:
         code, out, err = run_main(capsys, "contact", "-i", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("relci: invalid input:")
+
+
+class TestWorkLimits:
+    """Inputs just above a documented limit exit 2 before any subset table is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        def refuse(k, y):
+            raise AssertionError("a subset table was built")
+
+        rebind(monkeypatch, exact.signed_subset_tables, refuse)
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:") and "above the limit" in err
+
+    @pytest.mark.parametrize("argv", [["verdict"], ["invariants"], ["sweep"], ["cones", "-c", "1"]])
+    def test_k_sum(self, capsys, tmp_path, argv):
+        inst = {"bundle": {"rank": 4, "degree": 0}, "ci": {"k": [2, MAX_K_SUM - 1], "y": [0, 0]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        self.assert_rejected(capsys, *argv, "-i", str(path))
+
+    def test_sweep_h_max(self, capsys, worked_file):
+        self.assert_rejected(capsys, "sweep", "-i", worked_file, "--h-max", str(MAX_SWEEP_H + 1))
 
 
 # Any JSON value, with integers kept small: the caps on work are not under test.

@@ -2,7 +2,8 @@
 
 An imported name counts as used when the module reads it or re-exports
 it through ``__all__``; every ``__all__`` entry must resolve on the
-imported module.
+imported module.  No module imports another module's private
+(underscore-prefixed) names.
 """
 
 import ast
@@ -52,3 +53,16 @@ def test_all_entries_resolve(path):
     module = importlib.import_module("relci" if path.stem == "__init__" else f"relci.{path.stem}")
     assert [n for n in names if not hasattr(module, n)] == []
     assert len(names) == len(set(names)), f"{path.name}: __all__ lists a name twice"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}: {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "relci")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == [], f"{path.name} imports private names"

@@ -184,6 +184,27 @@ class TestInstability:
             region = classify(E, ci_class(X))
             assert fired == (region in REGIONS_OUTSIDE_BRIDGE)
 
+    def test_large_h_flag_follows_exact_sign(self, rng):
+        # the excess settles the small-twist band only: on unbalanced
+        # data the margins can still end positive, as on this instance
+        # (negative up to h = 12, positive from h = 13 on)
+        X = RelativeCI(BundleOverCurve.semistable(12, 6), (5, 3), (-4, 7))
+        rep = instability_verdict(X)
+        assert rep.conclusion == "ChowUnstableFibres"
+        assert rep.witnesses["unstable_large_h"] is False
+        excess = ends_nonnegative = 0
+        for _ in range(300):
+            X = make_ci(rng)
+            rep = instability_verdict(X)
+            if X.balanced or rep.conclusion != "ChowUnstableFibres":
+                continue
+            excess += 1
+            sign = asymptotic_verdict(X).witnesses["exact_eventual_sign"]
+            assert rep.witnesses["unstable_large_h"] == (sign == -1)
+            ends_nonnegative += sign != -1
+        assert excess >= 50
+        assert ends_nonnegative  # the draws include cases the excess gets wrong
+
 
 class TestBuildExample:
     def test_as_written_fails_effectivity(self):
