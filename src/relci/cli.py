@@ -24,7 +24,9 @@ must then agree with ``hn`` when both are present).
 JSON type (say a list where an object belongs) is invalid input.
 
 Work is bounded before any table is built: ``ci.k`` sums to at most
-``MAX_K_SUM`` and ``sweep --h-max`` is at most ``MAX_SWEEP_H``.
+``MAX_K_SUM``, ``sweep --h-max`` is at most ``MAX_SWEEP_H``, and
+``oracle`` needs 2^c * C(h_max + r, r) <= ``MAX_ORACLE_WORK`` (its brute
+force visits all 2^c subsets at every twist).
 
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
@@ -44,6 +46,7 @@ from . import __version__
 from .bundles import BundleOverCurve, ConeLabel, classify, cone
 from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_intersection
 from .errors import InputError, InternalCheckError
+from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
     alpha_invariant,
@@ -63,6 +66,7 @@ from .svg import cone_diagram
 
 MAX_K_SUM = 10_000
 MAX_SWEEP_H = 10_000
+MAX_ORACLE_WORK = 200_000
 
 _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
 
@@ -327,6 +331,12 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     if split is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
     h_max = args.h_max
+    work = 2**X.codim * binom_trunc(h_max + X.rank, X.rank)
+    if work > MAX_ORACLE_WORK:
+        raise InputError(
+            f"oracle work 2^{X.codim} * C({h_max} + {X.rank}, {X.rank}) = {work} "
+            f"is above the limit {MAX_ORACLE_WORK}"
+        )
     checks, mismatches = cross_check(X, split, h_max)
     result = {
         "h_max": h_max,
@@ -399,9 +409,7 @@ def _add_common(sp: argparse.ArgumentParser, instance: bool = True) -> None:
     if instance:
         sp.add_argument("-i", "--instance", required=True, metavar="FILE",
                         help="JSON instance file")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="compact JSON output (default)")
-    group.add_argument("--pretty", action="store_true", help="indented JSON output")
+    sp.add_argument("--pretty", action="store_true", help="indented JSON output")
 
 
 @cache
@@ -411,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relci",
         description="exact invariants and verdicts for relative complete intersections",
         epilog=f"limits: the entries of ci.k in an instance file sum to at most "
-               f"{MAX_K_SUM}; sweep --h-max is at most {MAX_SWEEP_H}",
+               f"{MAX_K_SUM}; sweep --h-max is at most {MAX_SWEEP_H}; oracle needs "
+               f"2^c * C(h_max + r, r) <= {MAX_ORACLE_WORK} (c entries in ci.k, r the rank)",
     )
     parser.add_argument("--version", action="version", version=f"relci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -444,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force cross-checks (needs a split bundle)")
     _add_common(sp)
     sp.add_argument("--h-max", dest="h_max", type=int, default=8, metavar="N",
-                    help="largest twist to cross-check (default 8)")
+                    help=f"largest twist to cross-check (default 8; 2^c * C(N + r, r) "
+                         f"at most {MAX_ORACLE_WORK} for c entries in ci.k and rank r)")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("contact", add_help=False,

@@ -6,6 +6,8 @@ check (3).  Oracle mismatches are reported by the ``oracle`` subcommand
 itself (exit code 4) and carry no dedicated exception.
 """
 
+__all__ = ["InputError", "HypothesisError", "InternalCheckError"]
+
 
 class InputError(ValueError):
     """Raised when caller-supplied data violates a documented precondition."""

@@ -25,6 +25,8 @@ Everything here is an exact integer or rational identity in the data
   restriction demands.  Margins are reported in this cleared integer
   form; the rational normalised value (divided by the rank) is derived
   from it, so sign questions never touch a division;
+* the stable margin polynomial, margin(h) / h^(dim X - 1) for large h,
+  whose degree-(dim X) coefficient cancels (asserted);
 * the alpha invariant  c * prod(k) * d - r * sum_i (prod(k)/k_i) * y_i,
   a positive multiple of  c*mu(E) - sum_i y_i/k_i, whose sign settles
   the small-twist margins outright;
@@ -45,7 +47,7 @@ from math import prod
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import HypothesisError, InputError, InternalCheckError
-from .exact import Rat, binom_trunc, signed_subset_tables
+from .exact import Rat, RatPoly, binom_trunc, interpolate, signed_subset_tables
 
 __all__ = [
     "RelativeCI",
@@ -58,6 +60,7 @@ __all__ = [
     "pushforward",
     "alpha_invariant",
     "positivity_margin",
+    "stable_margin_poly",
     "canonical_class",
     "canonical_top_power",
     "omega_pushforward",
@@ -262,6 +265,33 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     rational = Fraction(cleared, rank) if rank > 0 else None
     sign = (cleared > 0) - (cleared < 0)
     return PositivityReport(h, cleared, rational, sign)
+
+
+def stable_margin_poly(X: RelativeCI) -> RatPoly:
+    """Exact polynomial giving margin(h) / h^(dim X - 1) for large h.
+
+    For h >= k_sum - r + 1 every truncated binomial agrees with its
+    polynomial extension, so sampling the normalised margin at the
+    dim X + 2 integers starting at k_sum recovers the polynomial
+    exactly.  Its degree is at most dim X - 1: the degree-(dim X)
+    coefficient cancels identically between the rank and degree parts,
+    and this is asserted.  Interpolated once per instance and memoised
+    on it.
+    """
+    memo = X._memo
+    poly = memo.get("stable_margin_poly")
+    if poly is None:
+        n = X.dim
+        poly = interpolate([
+            (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
+            for h in range(X.k_sum, X.k_sum + n + 2)
+        ])
+        if poly.degree >= n:
+            raise InternalCheckError(
+                f"stable margin polynomial has degree {poly.degree} >= dim X = {n} for {X!r}"
+            )
+        memo["stable_margin_poly"] = poly
+    return poly
 
 
 @dataclass(frozen=True)

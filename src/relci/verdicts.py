@@ -31,7 +31,7 @@ from typing import Any
 
 from .bundles import BundleOverCurve
 from .errors import InputError, InternalCheckError
-from .exact import RatPoly, interpolate
+from .exact import RatPoly
 from .invariants import (
     PositivityReport,
     RelativeCI,
@@ -39,6 +39,7 @@ from .invariants import (
     canonical_margin,
     canonical_top_power,
     positivity_margin,
+    stable_margin_poly,
 )
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "instability_verdict",
     "build_example",
     "h_sweep",
-    "stable_margin_poly",
 ]
 
 _NO_CONCLUSION = ("Undetermined", "NoConclusion")
@@ -113,27 +113,6 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
             "margins": margins,
         },
     )
-
-
-def stable_margin_poly(X: RelativeCI) -> RatPoly:
-    """Exact polynomial giving margin(h) / h^(dim X - 1) for large h.
-
-    For h >= k_sum - r + 1 every truncated binomial agrees with its
-    polynomial extension, so sampling the normalised margin at the
-    dim X + 2 integers starting at k_sum recovers the polynomial
-    exactly.  Its degree is at most dim X - 1: the degree-(dim X)
-    coefficient cancels identically between the rank and degree parts.
-    Interpolated once per instance and memoised on it.
-    """
-    memo = X._memo
-    poly = memo.get("stable_margin_poly")
-    if poly is None:
-        n = X.dim
-        poly = memo["stable_margin_poly"] = interpolate([
-            (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
-            for h in range(X.k_sum, X.k_sum + n + 2)
-        ])
-    return poly
 
 
 def asymptotic_verdict(X: RelativeCI) -> VerdictReport:

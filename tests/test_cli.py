@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, exact, invariants, oracles
 from relci.bundles import split_hn_blocks
-from relci.cli import MAX_K_SUM, MAX_SWEEP_H, instance_from_json, instance_to_json, main
+from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_SWEEP_H, instance_from_json, instance_to_json, main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -439,6 +440,17 @@ class TestWorkLimits:
 
     def test_sweep_h_max(self, capsys, worked_file):
         self.assert_rejected(capsys, "sweep", "-i", worked_file, "--h-max", str(MAX_SWEEP_H + 1))
+
+    def test_oracle_work(self, capsys, monkeypatch, worked_file):
+        def refuse(X, split, h_max):
+            raise AssertionError(f"cross_check ran at h_max {h_max}")
+
+        rebind(monkeypatch, oracles.cross_check, refuse)
+        # worked: c = 2, r = 4; the largest h_max within the limit is the last one run
+        h_max = max(h for h in range(100) if 2**2 * comb(h + 4, 4) <= MAX_ORACLE_WORK)
+        with pytest.raises(AssertionError, match=f"h_max {h_max}$"):
+            main(["oracle", "-i", worked_file, "--h-max", str(h_max)])
+        self.assert_rejected(capsys, "oracle", "-i", worked_file, "--h-max", str(h_max + 1))
 
 
 # Any JSON value, with integers kept small: the caps on work are not under test.

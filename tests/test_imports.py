@@ -2,8 +2,11 @@
 
 An imported name counts as used when the module reads it or re-exports
 it through ``__all__``; every ``__all__`` entry must resolve on the
-imported module.  No module imports another module's private
-(underscore-prefixed) names.
+imported module, once.  Star imports appear only in ``__init__.py``,
+which re-exports each module's ``__all__``, and only from modules that
+define one.  No module imports another module's private
+(underscore-prefixed) names or reads a private attribute it does not
+define itself.
 """
 
 import ast
@@ -25,32 +28,32 @@ def _imported(tree: ast.Module) -> dict[str, int]:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
     return names
 
 
-def _all(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return list(ast.literal_eval(node.value))
-    return []
+def _module(path: Path):
+    return importlib.import_module("relci" if path.stem == "__init__" else f"relci.{path.stem}")
+
+
+def _all(path: Path) -> list[str]:
+    return list(getattr(_module(path), "__all__", []))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(_all(tree))
+    used.update(_all(path))
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert unused == {}, f"{path.name}: imported and never used (name: line)"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_entries_resolve(path):
-    names = _all(ast.parse(path.read_text(encoding="utf-8")))
-    module = importlib.import_module("relci" if path.stem == "__init__" else f"relci.{path.stem}")
+    names = _all(path)
+    module = _module(path)
     assert [n for n in names if not hasattr(module, n)] == []
     assert len(names) == len(set(names)), f"{path.name}: __all__ lists a name twice"
 
@@ -66,3 +69,39 @@ def test_no_private_imports_across_modules(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == [], f"{path.name} imports private names"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_star_imports_only_reexport_declared_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stars = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
+    ]
+    if path.name != "__init__.py":
+        assert [node.lineno for node in stars] == [], f"{path.name} star-imports"
+    for node in stars:
+        source = importlib.import_module("." * node.level + (node.module or ""), "relci")
+        assert hasattr(source, "__all__"), f"{path.name}: star import from {source.__name__} without __all__"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_attributes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    foreign = [
+        f"{node.attr}: {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and node.attr not in defined
+    ]
+    assert foreign == [], f"{path.name} reads private attributes defined elsewhere"

@@ -6,6 +6,7 @@ from relci import (
     BundleOverCurve,
     HypothesisError,
     InputError,
+    InternalCheckError,
     RelativeCI,
     alpha_invariant,
     balanced_margin,
@@ -18,8 +19,10 @@ from relci import (
     omega_pushforward,
     positivity_margin,
     pushforward,
+    stable_margin_poly,
     surface_formula_check,
 )
+from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
 
@@ -129,6 +132,16 @@ class TestMargin:
             for h in range(1, min(X.k)):
                 want = h ** (n - 1) * Fraction(h, r) * binom_trunc(h + r - 1, r - 1) * a
                 assert positivity_margin(X, h).e_cleared == want
+
+
+class TestStablePoly:
+    def test_top_degree_survivor_is_caught(self, monkeypatch):
+        # a wrong h_top breaks the cancellation between rank and degree
+        h_top_real = invariants.h_top
+        monkeypatch.setattr(invariants, "h_top", lambda X: h_top_real(X) + 1)
+        X = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))  # fresh memo
+        with pytest.raises(InternalCheckError, match="stable margin polynomial"):
+            stable_margin_poly(X)
 
 
 class TestAlpha:
