@@ -62,7 +62,7 @@ print("sign constant from h >", sweep.sign_stable_from, " eventual sign:", sweep
 
 # %%
 # The structural leading coefficient, computed from first principles,
-# matches the interpolated polynomial exactly.
+# matches the closed-form stable polynomial exactly.
 
 r, n = X.rank, X.dim
 fib = fibre_deg(X)
@@ -72,7 +72,7 @@ lead = Fraction(
     2 * r * factorial(n - 1),
 )
 print("predicted leading coefficient:", lead)
-print("interpolated leading coefficient:", stable_margin_poly(X).leading)
+print("closed-form leading coefficient:", stable_margin_poly(X).leading)
 
 # %%
 # The verdict follows the exact sign (NotFPositiveEventually) and keeps

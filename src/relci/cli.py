@@ -24,9 +24,10 @@ must then agree with ``hn`` when both are present).
 JSON type (say a list where an object belongs) is invalid input.
 
 Work is bounded before any table is built: ``ci.k`` sums to at most
-``MAX_K_SUM``, ``sweep --h-max`` is at most ``MAX_SWEEP_H``, and
-``oracle`` needs 2^c * C(h_max + r, r) <= ``MAX_ORACLE_WORK`` (its brute
-force visits all 2^c subsets at every twist).
+``MAX_K_SUM``, ``bundle.rank`` is at most ``MAX_RANK``, ``sweep --h-max``
+is at most ``MAX_SWEEP_H``, and ``oracle`` needs 2^c * C(h_max + r, r)
+<= ``MAX_ORACLE_WORK`` (its brute force visits all 2^c subsets at every
+twist).
 
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
@@ -65,6 +66,7 @@ from .verdicts import asymptotic_verdict, instability_verdict, slope_verdict, sm
 from .svg import cone_diagram
 
 MAX_K_SUM = 10_000
+MAX_RANK = 200
 MAX_SWEEP_H = 10_000
 MAX_ORACLE_WORK = 200_000
 
@@ -157,6 +159,8 @@ def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
         raise InputError("ci.k must be a nonempty list")
     if sum(k) > MAX_K_SUM:
         raise InputError(f"ci.k sums to {sum(k)}, above the limit {MAX_K_SUM}")
+    if rank > MAX_RANK:
+        raise InputError(f"bundle.rank {rank} is above the limit {MAX_RANK}")
     return RelativeCI(bundle, k, y), split
 
 
@@ -419,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relci",
         description="exact invariants and verdicts for relative complete intersections",
         epilog=f"limits: the entries of ci.k in an instance file sum to at most "
-               f"{MAX_K_SUM}; sweep --h-max is at most {MAX_SWEEP_H}; oracle needs "
+               f"{MAX_K_SUM}; bundle.rank is at most {MAX_RANK}; "
+               f"sweep --h-max is at most {MAX_SWEEP_H}; oracle needs "
                f"2^c * C(h_max + r, r) <= {MAX_ORACLE_WORK} (c entries in ci.k, r the rank)",
     )
     parser.add_argument("--version", action="version", version=f"relci {__version__}")

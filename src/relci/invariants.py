@@ -26,7 +26,9 @@ Everything here is an exact integer or rational identity in the data
   form; the rational normalised value (divided by the rank) is derived
   from it, so sign questions never touch a division;
 * the stable margin polynomial, margin(h) / h^(dim X - 1) for large h,
-  whose degree-(dim X) coefficient cancels (asserted);
+  in closed form from the moments of the subset tables at t = 1; the
+  moments below order c vanish and the degree-(dim X) coefficient
+  cancels (both asserted);
 * the alpha invariant  c * prod(k) * d - r * sum_i (prod(k)/k_i) * y_i,
   a positive multiple of  c*mu(E) - sum_i y_i/k_i, whose sign settles
   the small-twist margins outright;
@@ -43,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from itertools import accumulate
+from math import factorial, prod
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import HypothesisError, InputError, InternalCheckError
-from .exact import Rat, RatPoly, binom_trunc, interpolate, signed_subset_tables
+from .exact import Rat, RatPoly, binom_trunc, signed_subset_tables
 
 __all__ = [
     "RelativeCI",
@@ -153,7 +156,8 @@ class RelativeCI:
 
     @cached_property
     def _memo(self) -> dict:
-        """Pushforwards by twist and the stable margin polynomial, once per instance.
+        """Pushforwards by twist, the margin constants and the stable margin
+        polynomial, once per instance.
 
         Not a field, so ``==`` and ``hash`` ignore it."""
         return {}
@@ -249,6 +253,15 @@ def alpha_invariant(X: RelativeCI) -> int:
     return X.codim * p * X.degree - X.rank * twist
 
 
+def _margin_consts(X: RelativeCI) -> tuple[int, int]:
+    """(h_top, fibre_deg) of X, the per-instance factors of every margin."""
+    memo = X._memo
+    consts = memo.get("margin_consts")
+    if consts is None:
+        consts = memo["margin_consts"] = (h_top(X), fibre_deg(X))
+    return consts
+
+
 def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     """Margin of the positivity inequality for O_X(h), h >= 1.
 
@@ -261,36 +274,88 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
     pf = pushforward(X, h)
     n, rank = X.dim, pf.rank
-    cleared = h**n * h_top(X) * rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
+    top, fib = _margin_consts(X)
+    cleared = h**n * top * rank - n * h ** (n - 1) * fib * pf.degree
     rational = Fraction(cleared, rank) if rank > 0 else None
     sign = (cleared > 0) - (cleared < 0)
     return PositivityReport(h, cleared, rational, sign)
 
 
 def stable_margin_poly(X: RelativeCI) -> RatPoly:
-    """Exact polynomial giving margin(h) / h^(dim X - 1) for large h.
+    """Exact polynomial giving margin(h) / h^(dim X - 1) for h > k_sum - r.
 
-    For h >= k_sum - r + 1 every truncated binomial agrees with its
-    polynomial extension, so sampling the normalised margin at the
-    dim X + 2 integers starting at k_sum recovers the polynomial
-    exactly.  Its degree is at most dim X - 1: the degree-(dim X)
-    coefficient cancels identically between the rank and degree parts,
-    and this is asserted.  Interpolated once per instance and memoised
-    on it.
+    Built once per instance in closed form from the subset tables (see
+    ``_stable_poly``) and memoised on it.  Its degree is at most
+    dim X - 1: the degree-(dim X) coefficient cancels identically
+    between the rank and degree parts, and this is asserted.
     """
     memo = X._memo
     poly = memo.get("stable_margin_poly")
     if poly is None:
-        n = X.dim
-        poly = interpolate([
-            (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
-            for h in range(X.k_sum, X.k_sum + n + 2)
-        ])
-        if poly.degree >= n:
-            raise InternalCheckError(
-                f"stable margin polynomial has degree {poly.degree} >= dim X = {n} for {X!r}"
-            )
-        memo["stable_margin_poly"] = poly
+        poly = memo["stable_margin_poly"] = _stable_poly(X)
+    return poly
+
+
+def _moments(coeffs: tuple[int, ...], count: int) -> list[int]:
+    """Coefficients of sum_s coeffs[s] * t^s in powers of (1 - t), orders 0..count-1.
+
+    Repeated synthetic division by (t - 1): running sums of the
+    coefficients, highest power first, end in the remainder (the next
+    Taylor coefficient at t = 1) and leave the quotient before it.
+    Zero-padded at the top, so orders past the degree come out 0.
+    """
+    rest = [0] * (count - len(coeffs)) + list(reversed(coeffs))
+    out = []
+    for i in range(count):
+        rest = list(accumulate(rest))
+        out.append((-1) ** i * rest.pop())
+    return out
+
+
+def _stable_poly(X: RelativeCI) -> RatPoly:
+    """The stable margin polynomial from the moments of the subset tables.
+
+    If p(t) = sum_i b_i * (1 - t)^i, the coefficient of t^h in
+    p(t) / (1 - t)^R is sum_{i < R} b_i * C(h + R-1-i, R-1-i) for
+    h > deg p - R.  The rank is the case p = cnt, R = r.  Since
+    (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is d times
+    the case p = t * cnt, R = r + 1 (moments b_i - b_(i-1)), plus the
+    case p = val, R = r.  All three hold for h > k_sum - r.
+
+    cnt = prod (1 - t^k_i) vanishes to order c at t = 1 and val to order
+    c - 1, so no C(h + m, m) with m > dim X occurs; this is asserted, and
+    so is the cancellation of the degree-(dim X) coefficient.  The basis
+    goes to monomials in integers over the single denominator (dim X)!.
+    """
+    r, c, n = X.rank, X.codim, X.dim
+    cnt, val = X.tables
+    b, v = _moments(cnt, r + 1), _moments(val, r)
+    if any(b[:c]) or any(v[: c - 1]):
+        raise InternalCheckError(
+            f"subset table moments below order c = {c} (c - 1 for val) do not vanish: "
+            f"cnt {b[:c]}, val {v[: c - 1]} for {X!r}"
+        )
+    tb = [x - y for x, y in zip(b, [0, *b])]
+    # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
+    rank_c = b[c:r][::-1] + [0]
+    deg_c = [X.degree * x + y for x, y in zip(tb[c:][::-1], v[c - 1:][::-1])]
+    h_t, fib = _margin_consts(X)
+    den = factorial(n)
+    out = [0] * (n + 2)
+    basis, weight = [1], den  # (h+1)...(h+m) by power of h, and n!/m!
+    for m, (rk, dg) in enumerate(zip(rank_c, deg_c)):
+        if m:
+            basis = [m * x + y for x, y in zip([*basis, 0], [0, *basis])]
+            weight //= m
+        rk, dg = h_t * rk * weight, n * fib * dg * weight
+        for j, x in enumerate(basis):
+            out[j + 1] += rk * x
+            out[j] -= dg * x
+    poly = RatPoly(Fraction(x, den) for x in out)
+    if poly.degree >= n:
+        raise InternalCheckError(
+            f"stable margin polynomial has degree {poly.degree} >= dim X = {n} for {X!r}"
+        )
     return poly
 
 

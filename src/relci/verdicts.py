@@ -296,10 +296,11 @@ class SweepResult:
 def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     """Margins for h = 1..h_max and the exact eventual behaviour.
 
-    The stable polynomial is the normalised margin for large h
-    (see ``stable_margin_poly``); beyond ``sign_stable_from`` (the
-    larger of k_sum and a root bound on that polynomial) the sign of
-    every margin equals ``eventual_sign``.
+    The stable polynomial is the normalised margin for h > k_sum - r,
+    built from the subset tables without evaluating any twist (see
+    ``stable_margin_poly``); beyond ``sign_stable_from`` (the larger of
+    k_sum and a root bound on that polynomial) the sign of every margin
+    equals ``eventual_sign``.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {h_max}")

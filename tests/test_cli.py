@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, exact, invariants, oracles
 from relci.bundles import split_hn_blocks
-from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_SWEEP_H, instance_from_json, instance_to_json, main
+from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_SWEEP_H, instance_from_json, instance_to_json, main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -320,10 +320,9 @@ class TestEachTwistOnce:
 
     @pytest.mark.parametrize("argv, twists", [
         (["invariants", "-h", "7"], {7}),
-        # small-twist band 1..2 (which holds the canonical twist 2) and
-        # the stable-polynomial samples 6..9
-        (["verdict"], {1, 2, 6, 7, 8, 9}),
-        # the samples 6..9 fall inside the sweep and are read from it
+        # small-twist band 1..2, which holds the canonical twist 2; the
+        # stable polynomial comes from the subset tables, not from twists
+        (["verdict"], {1, 2}),
         (["sweep", "--h-max", "40"], set(range(1, 41))),
     ], ids=["invariants", "verdict", "sweep"])
     def test_worked_instance(self, capsys, monkeypatch, argv, twists):
@@ -343,18 +342,33 @@ class TestEachTwistOnce:
     # unstable.json has the instability excess, so its verdict needs the
     # stable polynomial twice: in the asymptotic and instability verdicts
     @pytest.mark.parametrize("name", ["worked", "unstable"])
-    def test_verdict_interpolates_once(self, capsys, monkeypatch, name):
-        true_interpolate = exact.interpolate
+    def test_verdict_builds_stable_poly_once(self, capsys, monkeypatch, name):
+        true_build = invariants._stable_poly
         calls = []
 
-        def counted(samples):
-            calls.append(samples)
-            return true_interpolate(samples)
+        def counted(X):
+            calls.append(X)
+            return true_build(X)
 
-        rebind(monkeypatch, true_interpolate, counted)
+        rebind(monkeypatch, true_build, counted)
         code, _, _ = run_main(capsys, "verdict", "-i", str(DEMOS / "instances" / f"{name}.json"))
         assert code == 0
         assert len(calls) == 1
+
+    def test_verdict_exits_3_on_broken_table_moment(self, capsys, monkeypatch, worked_file):
+        # the top entry cnt[k_sum] feeds no twist below k_sum, so only the
+        # moment identity of the stable polynomial sees the change
+        true_tables = exact.signed_subset_tables
+
+        def bumped(k, y):
+            cnt, val = true_tables(k, y)
+            cnt[-1] += 1
+            return cnt, val
+
+        rebind(monkeypatch, true_tables, bumped)
+        code, out, err = run_main(capsys, "verdict", "-i", worked_file)
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: subset table moments")
 
 
 @st.composite
@@ -437,6 +451,20 @@ class TestWorkLimits:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(inst), encoding="utf-8")
         self.assert_rejected(capsys, *argv, "-i", str(path))
+
+    @pytest.mark.parametrize("command", ["verdict", "invariants", "sweep"])
+    def test_rank(self, capsys, monkeypatch, tmp_path, command):
+        def refuse(X):
+            raise AssertionError("a stable polynomial was built")
+
+        rebind(monkeypatch, invariants._stable_poly, refuse)
+        for rank in (MAX_RANK, MAX_RANK + 1):
+            inst = {"bundle": {"rank": rank, "degree": 0}, "ci": {"k": [2], "y": [0]}}
+            (tmp_path / f"{rank}.json").write_text(json.dumps(inst), encoding="utf-8")
+        # the largest rank within the limit gets as far as the tables
+        with pytest.raises(AssertionError, match="a subset table was built"):
+            main([command, "-i", str(tmp_path / f"{MAX_RANK}.json")])
+        self.assert_rejected(capsys, command, "-i", str(tmp_path / f"{MAX_RANK + 1}.json"))
 
     def test_sweep_h_max(self, capsys, worked_file):
         self.assert_rejected(capsys, "sweep", "-i", worked_file, "--h-max", str(MAX_SWEEP_H + 1))

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from relci import (
 )
 from relci import invariants
 from relci.exact import binom_trunc
+from relci.oracles import sampled_stable_poly
 from tests.conftest import make_ci
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
@@ -142,6 +145,46 @@ class TestStablePoly:
         X = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))  # fresh memo
         with pytest.raises(InternalCheckError, match="stable margin polynomial"):
             stable_margin_poly(X)
+
+    @pytest.mark.parametrize("table", [0, 1], ids=["cnt", "val"])
+    def test_low_moment_survivor_is_caught(self, monkeypatch, table):
+        # cnt = prod (1 - t^k_i) vanishes to order c at t = 1 and val to
+        # order c - 1; one changed entry breaks that
+        tables_real = invariants.signed_subset_tables
+
+        def bumped(k, y):
+            tables = tables_real(k, y)
+            tables[table][2] += 1
+            return tables
+
+        monkeypatch.setattr(invariants, "signed_subset_tables", bumped)
+        X = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))  # fresh tables
+        with pytest.raises(InternalCheckError, match="moments below order c = 2"):
+            stable_margin_poly(X)
+
+    @pytest.mark.parametrize("r, d, k, y", [
+        (4, 4, (3, 3), (1, 2)),
+        (30, 17, tuple(range(2, 22)), tuple(range(-10, 10))),
+        (80, 17, tuple(range(2, 42)), tuple(range(-20, 20))),
+        (12, 6, (5, 3), (-4, 7)),
+        (10, 3, (2,), (5,)),
+    ], ids=["W", "M", "L", "eventual_sign", "short_table"])
+    def test_closed_form_matches_sampled(self, r, d, k, y):
+        assert stable_margin_poly(plain(r, d, k, y)) == sampled_stable_poly(plain(r, d, k, y))
+
+    def test_closed_form_matches_sampled_on_draws(self):
+        rng = random.Random(909)
+        kinds = Counter()
+        for _ in range(300):
+            r = rng.randint(3, 14)
+            c = rng.choice([1, rng.randint(1, r - 2)])
+            k = (rng.randint(2, 6),) * c if rng.random() < 0.3 else tuple(
+                rng.randint(2, 6) for _ in range(c))
+            y = tuple(rng.randint(-10, 10) for _ in range(c))
+            X = plain(r, rng.randint(-10, 10), k, y)
+            kinds.update(hypersurface=c == 1, balanced=X.balanced, short=X.k_sum < r)
+            assert stable_margin_poly(X) == sampled_stable_poly(plain(r, X.degree, k, y))
+        assert min(kinds[kind] for kind in ("hypersurface", "balanced", "short")) >= 30
 
 
 class TestAlpha:
