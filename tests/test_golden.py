@@ -1,0 +1,122 @@
+"""Golden reports: stdout, stderr and exit code of ``relci.cli.main`` per case.
+
+The cases cover every demo instance under every subcommand, plus inline
+instances that reach each per-instance decision the reports depend on
+(effectivity warnings, bridge membership without a Harder-Narasimhan
+profile, the balanced canonical gate, the instability excess, eventual
+signs that disagree with alpha) and the ``example`` family in both
+orientations.  ``--help`` is left out: argparse wraps it to the terminal.
+
+Regenerate the expected file only after a deliberate report change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from relci.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = ROOT / "demos" / "instances"
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+
+def _instance(rank, degree, k, y, *, split=None, hn=None):
+    bundle = {"rank": rank, "degree": degree}
+    if split is not None:
+        bundle["split"] = list(split)
+    if hn is not None:
+        bundle["hn"] = [{"rank": r, "degree": d} for r, d in hn]
+    return {"bundle": bundle, "ci": {"k": list(k), "y": list(y)}}
+
+
+INLINE = {
+    # y/k above the top slope 2: the effectivity warning; y/k equal to it: none
+    "hyper_warn": _instance(3, 3, [2], [5], split=[2, 1, 0]),
+    "hyper_at_mu1": _instance(3, 3, [2], [4], split=[2, 1, 0]),
+    "codim2_warn_first": _instance(4, 4, [2, 3], [5, 1], hn=[(2, 4), (2, 0)]),
+    # no profile: bridge membership Inside, Boundary and Outside
+    "nohn_alpha_pos": _instance(5, 7, [2, 2], [1, 1]),
+    "nohn_alpha_zero": _instance(4, 4, [2, 2], [2, 2]),
+    "nohn_alpha_neg": _instance(5, 0, [2, 3], [3, 3]),
+    # balanced with c*k above, below and at the rank, each with the excess
+    "balanced_ck_gt_r": _instance(5, 0, [3, 3], [2, 2]),
+    "balanced_ck_lt_r": _instance(6, 0, [2, 2], [3, 3]),
+    "balanced_ck_eq_r": _instance(4, 0, [2, 2], [1, 1], hn=[(4, 0)]),
+    # unbalanced with the excess: c*k[0] above the rank, and only k_sum above it
+    "unbalanced_k0_big": _instance(4, 0, [5, 2], [3, 3], hn=[(4, 0)]),
+    "unbalanced_k0_small": _instance(5, 0, [2, 6], [3, 3]),
+    # eventual signs that the classical alpha rule gets wrong or that need care
+    "eventual_r4": _instance(4, 1, [2, 5], [-2, 7]),
+    "eventual_r12": _instance(12, 6, [5, 3], [-4, 7]),
+    "split_r10": _instance(10, 17, [6, 2, 5], [2, 7, 8], split=[3, -1, 2, 4, -1, 4, 0, -2, 3, 5]),
+}
+
+EXAMPLES = [(1, 4, 2, 2), (2, 5, 3, 1), (1, 3, 1, 1), (3, 6, 2, 3), (2, 3, 1, 2), (0, 4, 2, 1)]
+
+
+def _cases():
+    """(case id, argv, instance document or None); the path is appended to argv."""
+    out = []
+    for path in sorted(INSTANCES.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        argvs = [["invariants", "-h", str(h)] for h in (0, 1, 2, 7, 300)]
+        argvs += [["verdict"], ["verdict", "--pretty"], ["cones", "-c", "1"], ["cones", "-c", "2"]]
+        argvs += [["sweep", "--h-max", "12"], ["sweep", "--h-max", "60"], ["oracle", "--h-max", "6"]]
+        out += [(f"{path.name} {' '.join(a)}", a, doc) for a in argvs]
+    for name, doc in INLINE.items():
+        argvs = [["invariants", "-h", "1"], ["invariants", "-h", "7"], ["verdict"], ["sweep", "--h-max", "12"]]
+        if "hn" in doc["bundle"] or "split" in doc["bundle"]:
+            argvs.append(["cones", "-c", "1"])
+        if "split" in doc["bundle"]:
+            argvs.append(["oracle", "--h-max", "3"])
+        out += [(f"{name} {' '.join(a)}", a, doc) for a in argvs]
+    for a, r, c, m in EXAMPLES:
+        for orientation in ("as-written", "swapped"):
+            argv = ["example", "--a", str(a), "--r", str(r), "--c", str(c), "--m", str(m),
+                    "--orientation", orientation]
+            out.append((" ".join(argv), argv, None))
+    return out
+
+
+CASES = _cases()
+
+
+def run_case(argv, doc, workdir):
+    if doc is not None:
+        path = Path(workdir) / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "-i", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_case_ids_match(golden):
+    assert sorted(golden) == sorted(case_id for case_id, _, _ in CASES)
+
+
+@pytest.mark.parametrize("case_id, argv, doc", CASES, ids=[case_id for case_id, _, _ in CASES])
+def test_report(golden, tmp_path, case_id, argv, doc):
+    assert run_case(argv, doc, tmp_path) == golden[case_id]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {case_id: run_case(argv, doc, tmp) for case_id, argv, doc in CASES}
+    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(got)} cases to {GOLDEN}", file=sys.stderr)
