@@ -24,10 +24,10 @@ must then agree with ``hn`` when both are present).
 JSON type (say a list where an object belongs) is invalid input.
 
 Work is bounded before any table is built: ``ci.k`` sums to at most
-``MAX_K_SUM``, ``bundle.rank`` is at most ``MAX_RANK``, ``sweep --h-max``
-is at most ``MAX_SWEEP_H``, and ``oracle`` needs 2^c * C(h_max + r, r)
-<= ``MAX_ORACLE_WORK`` (its brute force visits all 2^c subsets at every
-twist).
+``MAX_K_SUM``, ``bundle.rank`` is at most ``MAX_RANK``, ``invariants -h``
+and ``sweep --h-max`` are at most ``MAX_TWIST``, and ``oracle`` needs
+2^c * C(h_max + r, r) <= ``MAX_ORACLE_WORK`` (its brute force visits all
+2^c subsets at every twist).
 
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
@@ -67,7 +67,7 @@ from .svg import cone_diagram
 
 MAX_K_SUM = 10_000
 MAX_RANK = 200
-MAX_SWEEP_H = 10_000
+MAX_TWIST = 10_000
 MAX_ORACLE_WORK = 200_000
 
 _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
@@ -77,10 +77,14 @@ def _enc(value: Any) -> Any:
     """Encode report values: every number becomes a decimal string."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
+    if isinstance(value, (int, Fraction)):
+        try:
+            return str(value)
+        except ValueError as exc:
+            raise InputError(
+                f"a reported number has more than {sys.get_int_max_str_digits()} digits, "
+                f"the interpreter's limit for decimal output"
+            ) from exc
     if isinstance(value, dict):
         return {str(k): _enc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -225,6 +229,8 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
+    if args.h > MAX_TWIST:
+        raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
     X, _, echo = _load_instance(args.instance)
     h = args.h
     pf = pushforward(X, h)
@@ -262,12 +268,8 @@ def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
             label.value.lower(): cone(bundle, X.codim, label).threshold for label in ConeLabel
         }
     else:
-        ratio = X.ratio_sum
-        bridge = X.codim * bundle.slope
-        membership = (
-            "Inside" if ratio < bridge else "Boundary" if ratio == bridge else "Outside"
-        )
-        cone_part["bridge_membership"] = membership
+        a = alpha_invariant(X)  # a positive multiple of c*mu - sum_i y_i/k_i
+        cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
     verdicts = {
         "small_h": small_h_verdict(X),
@@ -292,9 +294,12 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     ]
     svg_path = None
     if args.svg:
-        Path(args.svg).write_text(
-            cone_diagram(described, bundle.is_semistable), encoding="utf-8"
-        )
+        try:
+            Path(args.svg).write_text(
+                cone_diagram(described, bundle.is_semistable), encoding="utf-8"
+            )
+        except OSError as exc:
+            raise InputError(f"cannot write {args.svg}: {exc}") from exc
         svg_path = args.svg
     result = {
         "codim": c,
@@ -314,8 +319,8 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    if args.h_max > MAX_SWEEP_H:
-        raise InputError(f"--h-max {args.h_max} is above the limit {MAX_SWEEP_H}")
+    if args.h_max > MAX_TWIST:
+        raise InputError(f"--h-max {args.h_max} is above the limit {MAX_TWIST}")
     X, _, echo = _load_instance(args.instance)
     sweep = h_sweep(X, args.h_max)
     result = {
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact invariants and verdicts for relative complete intersections",
         epilog=f"limits: the entries of ci.k in an instance file sum to at most "
                f"{MAX_K_SUM}; bundle.rank is at most {MAX_RANK}; "
-               f"sweep --h-max is at most {MAX_SWEEP_H}; oracle needs "
+               f"invariants -h and sweep --h-max are at most {MAX_TWIST}; oracle needs "
                f"2^c * C(h_max + r, r) <= {MAX_ORACLE_WORK} (c entries in ci.k, r the rank)",
     )
     parser.add_argument("--version", action="version", version=f"relci {__version__}")
@@ -434,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="intersection numbers, pushforward data and margins")
     _add_common(sp)
     sp.add_argument("-h", dest="h", type=int, default=1, metavar="H",
-                    help="tautological twist (default 1)")
+                    help=f"tautological twist (default 1, at most {MAX_TWIST})")
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("verdict", add_help=False, help="all theorem-level verdicts")
@@ -451,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", add_help=False, help="margins over a twist range")
     _add_common(sp)
     sp.add_argument("--h-max", dest="h_max", type=int, default=12, metavar="N",
-                    help=f"largest twist to report (default 12, at most {MAX_SWEEP_H})")
+                    help=f"largest twist to report (default 12, at most {MAX_TWIST})")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("oracle", add_help=False,
@@ -488,13 +493,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         echo, result, warnings = args.func(args)
+        report = _report(args.command, echo, result, warnings)
     except InputError as exc:
         print(f"relci: invalid input: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"relci: internal check failed: {exc}", file=sys.stderr)
         return 3
-    _emit(_report(args.command, echo, result, warnings), args.pretty)
+    _emit(report, args.pretty)
     return 4 if result.get("mismatches") else 0  # only ``oracle`` reports mismatches
 
 

@@ -1,11 +1,10 @@
 """Exact combinatorial and polynomial kernel.
 
-Everything downstream reduces to four ingredients, all computed over
+Everything downstream reduces to three ingredients, all computed over
 arbitrary-precision integers and ``fractions.Fraction`` (aliased ``Rat``):
 
 * truncated binomial coefficients, with the convention ``C(n, m) = 0``
   whenever ``n < m`` (including every negative ``n``);
-* streamed enumeration of index subsets of ``{1, ..., c}``;
 * signed subset-sum tables, the workhorse behind alternating sums over
   all ``2^c`` subsets without materialising them;
 * exact univariate polynomials with rational coefficients, plus Newton
@@ -17,9 +16,8 @@ No floating point is used anywhere in the computation path.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -30,7 +28,6 @@ Rat = Fraction
 __all__ = [
     "Rat",
     "binom_trunc",
-    "subsets_of_size",
     "signed_subset_tables",
     "RatPoly",
     "interpolate",
@@ -57,19 +54,6 @@ def binom_trunc(n: int, m: int) -> int:
     if n < m:
         return 0
     return comb(n, m)
-
-
-def subsets_of_size(c: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Yield the subsets of {1, ..., c} with ``size`` elements.
-
-    Subsets come out as strictly increasing index tuples, in
-    lexicographic order, each exactly once: C(c, size) of them in total.
-    """
-    if c < 1:
-        raise InputError(f"subsets_of_size: ground set size must be >= 1, got {c}")
-    if not 0 <= size <= c:
-        raise InputError(f"subsets_of_size: size {size} out of range 0..{c}")
-    return combinations(range(1, c + 1), size)
 
 
 def signed_subset_tables(

@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import factorial, prod
 
-from .bundles import BundleOverCurve, CycleClass
+from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError
 from .exact import Rat, RatPoly, binom_trunc, signed_subset_tables
 
@@ -128,9 +128,15 @@ class RelativeCI:
     def y_sum(self) -> int:
         return sum(self.y)
 
-    @property
+    @cached_property
     def k_prod(self) -> int:
         return prod(self.k)
+
+    @cached_property
+    def y_weight(self) -> int:
+        """sum_i (prod(k)/k_i) * y_i, the S-part of the class of X up to sign."""
+        p = self.k_prod
+        return sum((p // ki) * yi for ki, yi in zip(self.k, self.y))
 
     @property
     def balanced(self) -> bool:
@@ -141,13 +147,6 @@ class RelativeCI:
         """sum_i y_i / k_i, the quantity compared against c * mu(E)."""
         return sum((Fraction(yi, ki) for ki, yi in zip(self.k, self.y)), Fraction(0))
 
-    def k_of(self, subset: tuple[int, ...]) -> int:
-        """Sum of k over a 1-based index subset (0 for the empty set)."""
-        return sum(self.k[i - 1] for i in subset)
-
-    def y_of(self, subset: tuple[int, ...]) -> int:
-        return sum(self.y[i - 1] for i in subset)
-
     @cached_property
     def tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Signed subset tables (cnt, val) of (k, y), built once per instance."""
@@ -156,8 +155,7 @@ class RelativeCI:
 
     @cached_property
     def _memo(self) -> dict:
-        """Pushforwards by twist, the margin constants and the stable margin
-        polynomial, once per instance.
+        """Pushforwards by twist and the stable margin polynomial, once per instance.
 
         Not a field, so ``==`` and ``hash`` ignore it."""
         return {}
@@ -174,18 +172,25 @@ class PushforwardSummary:
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Positivity margin of O_X(h), cleared and normalised forms.
+    """Positivity margin of O_X(h): the cleared integer and the pushforward rank.
 
-    ``e_cleared`` is the integer margin (rank times the normalised
-    value); ``e_rational`` is the normalised value itself, undefined
-    (None) when the rank vanishes.  ``sign`` is -1, 0 or 1 and always
-    agrees with both forms.
+    ``e_cleared`` is the integer margin, rank times the normalised value.
+    Both other forms derive from the stored pair, so all three agree by
+    construction: ``e_rational`` is e_cleared / rank, undefined (None)
+    when the rank vanishes, and ``sign`` is -1, 0 or 1.
     """
 
     h: int
     e_cleared: int
-    e_rational: Fraction | None
-    sign: int
+    rank: int
+
+    @property
+    def e_rational(self) -> Fraction | None:
+        return Fraction(self.e_cleared, self.rank) if self.rank > 0 else None
+
+    @property
+    def sign(self) -> int:
+        return (self.e_cleared > 0) - (self.e_cleared < 0)
 
 
 def h_top(X: RelativeCI) -> int:
@@ -195,8 +200,7 @@ def h_top(X: RelativeCI) -> int:
     relations S*S = 0, H^r = d, H^(r-1)*S = 1 leaves
     prod(k) * d - sum_i (prod(k)/k_i) * y_i.
     """
-    p = X.k_prod
-    return p * X.degree - sum((p // ki) * yi for ki, yi in zip(X.k, X.y))
+    return X.k_prod * X.degree - X.y_weight
 
 
 def fibre_deg(X: RelativeCI) -> int:
@@ -248,18 +252,7 @@ def alpha_invariant(X: RelativeCI) -> int:
     exactly the sign of that slope comparison.  For balanced data it
     factors as k^(c-1) * (c*d*k - r*y_sum).
     """
-    p = X.k_prod
-    twist = sum((p // ki) * yi for ki, yi in zip(X.k, X.y))
-    return X.codim * p * X.degree - X.rank * twist
-
-
-def _margin_consts(X: RelativeCI) -> tuple[int, int]:
-    """(h_top, fibre_deg) of X, the per-instance factors of every margin."""
-    memo = X._memo
-    consts = memo.get("margin_consts")
-    if consts is None:
-        consts = memo["margin_consts"] = (h_top(X), fibre_deg(X))
-    return consts
+    return X.codim * X.k_prod * X.degree - X.rank * X.y_weight
 
 
 def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
@@ -273,12 +266,9 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
     pf = pushforward(X, h)
-    n, rank = X.dim, pf.rank
-    top, fib = _margin_consts(X)
-    cleared = h**n * top * rank - n * h ** (n - 1) * fib * pf.degree
-    rational = Fraction(cleared, rank) if rank > 0 else None
-    sign = (cleared > 0) - (cleared < 0)
-    return PositivityReport(h, cleared, rational, sign)
+    n = X.dim
+    cleared = h**n * h_top(X) * pf.rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
+    return PositivityReport(h, cleared, pf.rank)
 
 
 def stable_margin_poly(X: RelativeCI) -> RatPoly:
@@ -339,7 +329,7 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
     rank_c = b[c:r][::-1] + [0]
     deg_c = [X.degree * x + y for x, y in zip(tb[c:][::-1], v[c - 1:][::-1])]
-    h_t, fib = _margin_consts(X)
+    h_t, fib = h_top(X), fibre_deg(X)
     den = factorial(n)
     out = [0] * (n + 2)
     basis, weight = [1], den  # (h+1)...(h+m) by power of h, and n!/m!
@@ -501,7 +491,7 @@ def surface_formula_check(X: RelativeCI) -> SurfaceFormulaReport:
     if c != r - 2:
         raise HypothesisError(f"surface formulas need codim = rank - 2, got {c}")
     k = X.k[0]
-    if c * k <= r:
+    if not canonical_class(X).general_type_fibres:
         raise HypothesisError(f"surface formulas need c*k > r, got {c * k} <= {r}")
     a_red = c * X.degree * k - r * X.y_sum
     kf2 = ((r - 2) * k - r) * (k - 1) * k ** (r - 3) * a_red
@@ -524,9 +514,7 @@ def ci_class(X: RelativeCI) -> CycleClass:
     Expanding prod_i (k_i * H - y_i * S) with S*S = 0 gives
     p = prod(k) and q = -sum_i (prod(k)/k_i) * y_i.
     """
-    p = X.k_prod
-    q = -sum((p // ki) * yi for ki, yi in zip(X.k, X.y))
-    return CycleClass(X.codim, p, q)
+    return CycleClass(X.codim, X.k_prod, -X.y_weight)
 
 
 def effectivity_violations(X: RelativeCI) -> tuple[int, ...]:
@@ -539,9 +527,7 @@ def effectivity_violations(X: RelativeCI) -> tuple[int, ...]:
     """
     if not X.bundle.has_hn:
         return ()
-    mu1 = X.bundle.mu_first
     return tuple(
-        i + 1
-        for i, (ki, yi) in enumerate(zip(X.k, X.y))
-        if Fraction(yi, ki) > mu1
+        i for i, (ki, yi) in enumerate(zip(X.k, X.y), 1)
+        if not mn_divisor_test(X.bundle, ki, yi).pseff
     )

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import InputError, InternalCheckError
-from .exact import Rat, RatPoly, binom_trunc, interpolate, subsets_of_size
+from .exact import Rat, RatPoly, binom_trunc, interpolate
 from .invariants import (
     RelativeCI,
     canonical_top_power,
@@ -109,13 +109,12 @@ def koszul_degree_bruteforce(split: SplitBundle, X: RelativeCI, h: int) -> int:
         raise InputError("complete intersection bundle does not match the split bundle")
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
-    c = X.codim
     total = 0
-    for size in range(c + 1):
-        for I in subsets_of_size(c, size):
-            a = h - X.k_of(I)
+    for size in range(X.codim + 1):
+        for I in combinations(zip(X.k, X.y), size):
+            a = h - sum(ki for ki, _ in I)
             if a >= 0:
-                total += (-1) ** size * sym_degree_bruteforce(split, a, -X.y_of(I))
+                total += (-1) ** size * sym_degree_bruteforce(split, a, -sum(yi for _, yi in I))
     return total
 
 

@@ -29,13 +29,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any
 
-from .bundles import BundleOverCurve
+from .bundles import BundleOverCurve, mn_divisor_test
 from .errors import InputError, InternalCheckError
 from .exact import RatPoly
 from .invariants import (
     PositivityReport,
     RelativeCI,
     alpha_invariant,
+    canonical_class,
     canonical_margin,
     canonical_top_power,
     positivity_margin,
@@ -151,11 +152,10 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     canonical margin, and mu(E) >= y_sum / (c*k).  They are evaluated
     independently and must coincide.
     """
-    r, c = X.rank, X.codim
     gates = (
         ("balanced", X.balanced),
         ("degree_above_one", min(X.k) > 1),
-        ("canonical_relatively_ample", X.balanced and c * X.k[0] > r),
+        ("canonical_relatively_ample", X.balanced and canonical_class(X).general_type_fibres),
     )
     if not all(ok for _, ok in gates):
         return VerdictReport(
@@ -164,10 +164,10 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
             conclusion="Undetermined",
             witnesses={"failed": tuple(name for name, ok in gates if not ok)},
         )
-    k = X.k[0]
+    ratio = Fraction(X.y_sum, X.k_sum)
     kf = canonical_top_power(X)
     margin = canonical_margin(X)
-    crit = X.bundle.slope >= Fraction(X.y_sum, c * k)
+    crit = X.bundle.slope >= ratio
     if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
         raise InternalCheckError(
             f"slope equivalence broke on {X!r}: kf_top {kf}, "
@@ -181,7 +181,7 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
             "kf_top": kf,
             "margin": margin.e_cleared,
             "mu": X.bundle.slope,
-            "ratio": Fraction(X.y_sum, c * k),
+            "ratio": ratio,
         },
     )
 
@@ -189,29 +189,27 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
 def instability_verdict(X: RelativeCI) -> VerdictReport:
     """One-directional instability condition for the fibres.
 
-    When sum_i y_i/k_i strictly exceeds c * mu(E) (the class of X lies
-    strictly outside the bridge cone), the fibres are Chow unstable in
-    the small-twist band, where the excess is equivalent to negative
-    margins; balanced data with c*k > r are additionally unstable with
-    respect to the dualizing sheaf.  The excess does not settle large
-    twists on unbalanced data, so ``unstable_large_h`` is read off the
-    exact stable polynomial: it holds exactly when the margins end
-    negative.  When the excess fails there is no conclusion either way.
+    When sum_i y_i/k_i strictly exceeds c * mu(E), that is when alpha is
+    negative (the class of X lies strictly outside the bridge cone), the
+    fibres are Chow unstable in the small-twist band, where the excess is
+    equivalent to negative margins; balanced data with c*k > r are
+    additionally unstable with respect to the dualizing sheaf.  The
+    excess does not settle large twists on unbalanced data, so
+    ``unstable_large_h`` is read off the exact stable polynomial: it
+    holds exactly when the margins end negative.  When the excess fails
+    there is no conclusion either way.
     """
-    c_mu = X.codim * X.bundle.slope
-    excess = X.ratio_sum > c_mu
-    witnesses: dict[str, Any] = {"ratio_sum": X.ratio_sum, "c_mu": c_mu}
-    if not excess:
+    witnesses: dict[str, Any] = {"ratio_sum": X.ratio_sum, "c_mu": X.codim * X.bundle.slope}
+    if alpha_invariant(X) >= 0:
         return VerdictReport(
             theorem="Instability",
             hypotheses=(("ratio_exceeds_bridge", False),),
             conclusion="NoConclusion",
             witnesses=witnesses,
         )
-    dualizing = X.balanced and X.codim * X.k[0] > X.rank
     witnesses["unstable_small_h"] = True
     witnesses["unstable_large_h"] = stable_margin_poly(X).leading < 0
-    witnesses["unstable_dualizing"] = dualizing
+    witnesses["unstable_dualizing"] = X.balanced and canonical_class(X).general_type_fibres
     return VerdictReport(
         theorem="Instability",
         hypotheses=(("ratio_exceeds_bridge", True),),
@@ -259,12 +257,11 @@ def build_example(
     k, y = (big, small) if orientation is Orientation.AS_WRITTEN else (small, big)
     X = RelativeCI(bundle, (k,) * c, (y,) * c)
     ratio = Fraction(y, k)
-    mu1 = Fraction(a)
     mu2 = Fraction(a - 1)
     checks = (
-        ("effective", ratio <= mu1),
+        ("effective", mn_divisor_test(bundle, k, y).pseff),
         ("base_locus_on_section", ratio > mu2),
-        ("instability_excess", X.ratio_sum > c * bundle.slope),
+        ("instability_excess", alpha_invariant(X) < 0),
     )
     report = VerdictReport(
         theorem="ExampleFamily",
@@ -275,7 +272,7 @@ def build_example(
             "y": y,
             "ratio": ratio,
             "mu": bundle.slope,
-            "mu_first": mu1,
+            "mu_first": bundle.mu_first,
             "mu_second": mu2,
             "orientation": orientation.value,
         },

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, exact, invariants, oracles
 from relci.bundles import split_hn_blocks
-from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_SWEEP_H, instance_from_json, instance_to_json, main
+from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_TWIST, instance_from_json, instance_to_json, main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -467,7 +467,16 @@ class TestWorkLimits:
         self.assert_rejected(capsys, command, "-i", str(tmp_path / f"{MAX_RANK + 1}.json"))
 
     def test_sweep_h_max(self, capsys, worked_file):
-        self.assert_rejected(capsys, "sweep", "-i", worked_file, "--h-max", str(MAX_SWEEP_H + 1))
+        self.assert_rejected(capsys, "sweep", "-i", worked_file, "--h-max", str(MAX_TWIST + 1))
+
+    def test_invariants_h(self, capsys, worked_file):
+        # the largest twist within the limit gets as far as the tables
+        with pytest.raises(AssertionError, match="a subset table was built"):
+            main(["invariants", "-i", worked_file, "-h", str(MAX_TWIST)])
+        self.assert_rejected(capsys, "invariants", "-i", worked_file, "-h", str(MAX_TWIST + 1))
+
+    def test_invariants_h_checked_before_the_file_is_read(self, capsys, tmp_path):
+        self.assert_rejected(capsys, "invariants", "-i", str(tmp_path / "missing.json"), "-h", str(10**2200))
 
     def test_oracle_work(self, capsys, monkeypatch, worked_file):
         def refuse(X, split, h_max):
@@ -479,6 +488,27 @@ class TestWorkLimits:
         with pytest.raises(AssertionError, match=f"h_max {h_max}$"):
             main(["oracle", "-i", worked_file, "--h-max", str(h_max)])
         self.assert_rejected(capsys, "oracle", "-i", worked_file, "--h-max", str(h_max + 1))
+
+
+class TestUnwritableReports:
+    """A report that cannot be printed or written exits 2 with one line on stderr."""
+
+    @pytest.mark.parametrize("argv", [["verdict"], ["invariants", "-h", "100"]], ids=["verdict", "invariants"])
+    def test_number_past_the_digit_limit(self, capsys, tmp_path, argv):
+        # inside every documented limit, yet h_top has more digits than str() may print
+        inst = {"bundle": {"rank": 200, "degree": 10**4000}, "ci": {"k": [300], "y": [1]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code, out, err = run_main(capsys, *argv, "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/x.svg", "."], ids=["missing_dir", "directory"])
+    def test_svg_path(self, capsys, tmp_path, target):
+        split210 = str(DEMOS / "instances" / "split210.json")
+        code, out, err = run_main(capsys, "cones", "-i", split210, "-c", "1", "--svg", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input: cannot write ") and err.count("\n") == 1
 
 
 # Any JSON value, with integers kept small: the caps on work are not under test.
@@ -546,6 +576,13 @@ class TestAnyJsonShape:
     @given(payload=INSTANCE_TREES)
     def test_invariants(self, input_file, payload):
         self.run(input_file, payload, "invariants")
+
+    @pytest.mark.parametrize("argv", [["sweep", "--h-max", "6"], ["cones", "-c", "1"], ["oracle", "--h-max", "2"]],
+                             ids=["sweep", "cones", "oracle"])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=INSTANCE_TREES)
+    def test_other_instance_commands(self, input_file, argv, payload):
+        self.run(input_file, payload, *argv)
 
     @settings(max_examples=60, deadline=None)
     @given(payload=CONTACT_TREES)

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from relci import BundleOverCurve, InputError, RelativeCI, SplitBundle
-from relci.exact import RatPoly, binom_trunc, interpolate, signed_subset_tables, subsets_of_size
+from relci.exact import RatPoly, binom_trunc, interpolate, signed_subset_tables
 from relci.invariants import pushforward
 from relci.oracles import hilbert_series_rank
 
@@ -28,27 +29,6 @@ class TestBinomTrunc:
         assert binom_trunc(n, m) == binom_trunc(n - 1, m - 1) + binom_trunc(n - 1, m)
 
 
-class TestSubsets:
-    def test_pairs(self):
-        assert list(subsets_of_size(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-
-    def test_empty(self):
-        assert list(subsets_of_size(3, 0)) == [()]
-
-    def test_full(self):
-        assert list(subsets_of_size(4, 4)) == [(1, 2, 3, 4)]
-
-    def test_count_and_order(self):
-        seen = list(subsets_of_size(6, 3))
-        assert len(seen) == binom_trunc(6, 3)
-        assert len(set(seen)) == len(seen)
-        assert seen == sorted(seen)
-
-    def test_range_check(self):
-        with pytest.raises(InputError):
-            list(subsets_of_size(3, 4))
-
-
 class TestSignedTables:
     def test_matches_enumeration(self, rng):
         for _ in range(50):
@@ -60,7 +40,7 @@ class TestSignedTables:
             want_cnt = [0] * (total + 1)
             want_val = [0] * (total + 1)
             for size in range(c + 1):
-                for I in subsets_of_size(c, size):
+                for I in combinations(range(1, c + 1), size):
                     s = sum(k[i - 1] for i in I)
                     want_cnt[s] += (-1) ** size
                     want_val[s] += (-1) ** size * sum(y[i - 1] for i in I)
