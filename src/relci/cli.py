@@ -74,10 +74,17 @@ _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
 
 
 def _enc(value: Any) -> Any:
-    """Encode report values: every number becomes a decimal string."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, Fraction)):
+    """Encode report values: every number becomes a decimal string.
+
+    Exact types are tested first, since reports are mostly dicts, lists
+    and numbers; bool, str, str-Enums and None then pass through as is.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {str(k): _enc(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_enc(v) for v in value]
+    if kind is int or kind is Fraction:
         try:
             return str(value)
         except ValueError as exc:
@@ -85,10 +92,8 @@ def _enc(value: Any) -> Any:
                 f"a reported number has more than {sys.get_int_max_str_digits()} digits, "
                 f"the interpreter's limit for decimal output"
             ) from exc
-    if isinstance(value, dict):
-        return {str(k): _enc(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_enc(v) for v in value]
+    if isinstance(value, (bool, str)) or value is None:
+        return value
     raise TypeError(f"cannot encode {value!r} in a report")
 
 

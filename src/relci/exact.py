@@ -7,8 +7,7 @@ arbitrary-precision integers and ``fractions.Fraction`` (aliased ``Rat``):
   whenever ``n < m`` (including every negative ``n``);
 * signed subset-sum tables, the workhorse behind alternating sums over
   all ``2^c`` subsets without materialising them;
-* exact univariate polynomials with rational coefficients, plus Newton
-  interpolation.
+* exact univariate polynomials with rational coefficients.
 
 No floating point is used anywhere in the computation path.
 """
@@ -30,7 +29,6 @@ __all__ = [
     "binom_trunc",
     "signed_subset_tables",
     "RatPoly",
-    "interpolate",
 ]
 
 
@@ -151,35 +149,3 @@ class RatPoly:
         lead = self.coeffs[-1]
         bound = 1 + max(abs(c / lead) for c in self.coeffs[:-1])
         return ceil(bound)
-
-
-def interpolate(samples: Sequence[tuple[Rat | int, Rat | int]]) -> RatPoly:
-    """Exact polynomial through the given (x, y) samples.
-
-    Newton's divided differences over Fractions; the result is the
-    unique polynomial of degree < len(samples) hitting every sample
-    exactly.  Duplicate abscissae are rejected.
-    """
-    if not samples:
-        raise InputError("interpolate: need at least one sample")
-    xs = [Fraction(x) for x, _ in samples]
-    ys = [Fraction(y) for _, y in samples]
-    if len(set(xs)) != len(xs):
-        raise InputError("interpolate: duplicate abscissae")
-    n = len(xs)
-    dd = ys[:]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form sum dd[j] * prod_{i<j} (x - xs[i])
-    out = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for j in range(n):
-        for i, b in enumerate(basis):
-            out[i] += dd[j] * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            nxt[i] -= b * xs[j]
-            nxt[i + 1] += b
-        basis = nxt
-    return RatPoly(out)

@@ -17,6 +17,9 @@ Everything here is an exact integer or rational identity in the data
   once per instance and twist and memoised on the instance; the degree
   carries a global /r that always cancels, and this is asserted on
   every evaluation);
+* runs of margins h = 1..H (``positivity_margins``), whose pushforwards
+  come from running sums of the subset tables instead of one Koszul
+  sum per twist; the last twist of each run is held to its direct sum;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -42,6 +45,7 @@ Everything here is an exact integer or rational identity in the data
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,6 +67,7 @@ __all__ = [
     "pushforward",
     "alpha_invariant",
     "positivity_margin",
+    "positivity_margins",
     "stable_margin_poly",
     "canonical_class",
     "canonical_top_power",
@@ -218,7 +223,8 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     weights it by ((h - k_I) * d + y_I * r) / r.  One binomial per level
     feeds both.  The global /r of the degree always cancels in the
     total; a non-integral result would mean a transcribed-formula bug
-    and aborts hard.
+    and aborts hard.  This direct sum serves lone twists; a run of
+    twists fills the same memo through ``positivity_margins``.
     """
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
@@ -269,6 +275,42 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     n = X.dim
     cleared = h**n * h_top(X) * pf.rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
     return PositivityReport(h, cleared, pf.rank)
+
+
+def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...]:
+    """Margins of O_X(h) for h = 1..h_max, from one run of pushforwards.
+
+    The rank at h is the t^h coefficient of cnt(t) / (1 - t)^r, so r
+    running sums of cnt give every rank up to h_max.  Since
+    (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is
+    d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
+    Additions only, no binomials.  The run fills the memo of
+    ``pushforward`` for h = 0..h_max, keeping entries already there, so
+    each margin is the one ``positivity_margin`` reports.  The last twist
+    is held to its direct Koszul sum (or its memoised value), which also
+    asserts degree integrality; a mismatch aborts hard.
+    """
+    if h_max < 1:
+        raise InputError(f"h_max must be >= 1, got {h_max}")
+    # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
+    ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
+    for _ in range(X.rank):
+        ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
+    degrees = [X.degree * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
+    memo = X._memo
+    last = memo.get(h_max) or _koszul_sum(X, h_max)
+    if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
+        from .cli import instance_to_json  # cli imports this module
+
+        raise InternalCheckError(
+            f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
+            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree} for instance "
+            f"{json.dumps(instance_to_json(X, None))}"
+        )
+    for h, (rank, degree) in enumerate(zip(ranks, degrees)):
+        if h not in memo:
+            memo[h] = PushforwardSummary(h, rank, degree)
+    return tuple(positivity_margin(X, h) for h in range(1, h_max + 1))
 
 
 def stable_margin_poly(X: RelativeCI) -> RatPoly:

@@ -16,8 +16,6 @@ None of these reuse the closed forms they validate:
   H^r = d * point, H^(r-1) * S = point).
 
 ``cross_check`` runs all four against the closed forms on one instance.
-``sampled_stable_poly`` interpolates the stable margin polynomial from
-sampled margins, against which the tests hold its closed form.
 
 Enumeration sizes grow like binom(h + r - 1, r - 1); the intended range
 (r <= 5, twists <= 12 or so) runs in well under a second.
@@ -31,14 +29,13 @@ from itertools import combinations, combinations_with_replacement
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import InputError, InternalCheckError
-from .exact import Rat, RatPoly, binom_trunc, interpolate
+from .exact import Rat, binom_trunc
 from .invariants import (
     RelativeCI,
     canonical_top_power,
     ci_class,
     fibre_deg,
     h_top,
-    positivity_margin,
     pushforward,
 )
 
@@ -50,7 +47,6 @@ __all__ = [
     "koszul_degree_bruteforce",
     "hilbert_series_rank",
     "chow_expand",
-    "sampled_stable_poly",
     "cross_check",
 ]
 
@@ -222,22 +218,6 @@ def chow_expand(X: RelativeCI) -> ChowSummary:
         kf_top=kf,
         ci_class=CycleClass(X.codim, cls.u, cls.v),
     )
-
-
-def sampled_stable_poly(X: RelativeCI) -> RatPoly:
-    """The stable margin polynomial interpolated from dim X + 2 sampled margins.
-
-    For h >= k_sum - r + 1 every truncated binomial of the Koszul sums
-    agrees with its polynomial extension, so margin(h) / h^(dim X - 1)
-    sampled at the dim X + 2 twists from k_sum on determines the
-    polynomial exactly (one sample more than its degree bound dim X
-    needs).  Independent of the closed form built from the table moments.
-    """
-    n = X.dim
-    return interpolate([
-        (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
-        for h in range(X.k_sum, X.k_sum + n + 2)
-    ])
 
 
 def cross_check(

@@ -39,7 +39,7 @@ from .invariants import (
     canonical_class,
     canonical_margin,
     canonical_top_power,
-    positivity_margin,
+    positivity_margins,
     stable_margin_poly,
 )
 
@@ -90,11 +90,13 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
 
     so the verdict is equivalent to alpha >= 0, equivalently to
     sum_i y_i/k_i <= c * mu(E).  All three readings are computed
-    independently and must agree.
+    independently and must agree.  The band's margins come from one run
+    of twists (``positivity_margins``), so it costs additions, not one
+    Koszul sum per twist.
     """
     a = alpha_invariant(X)
     c_mu = X.codim * X.bundle.slope
-    margins = {h: positivity_margin(X, h).e_cleared for h in range(1, min(X.k))}
+    margins = {rep.h: rep.e_cleared for rep in positivity_margins(X, min(X.k) - 1)}
     by_alpha = a >= 0
     by_ratio = X.ratio_sum <= c_mu
     by_margins = all(m >= 0 for m in margins.values())
@@ -293,15 +295,14 @@ class SweepResult:
 def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     """Margins for h = 1..h_max and the exact eventual behaviour.
 
+    The margins come from one run of twists (``positivity_margins``).
     The stable polynomial is the normalised margin for h > k_sum - r,
     built from the subset tables without evaluating any twist (see
     ``stable_margin_poly``); beyond ``sign_stable_from`` (the larger of
     k_sum and a root bound on that polynomial) the sign of every margin
     equals ``eventual_sign``.
     """
-    if h_max < 1:
-        raise InputError(f"h_max must be >= 1, got {h_max}")
-    reports = tuple(positivity_margin(X, h) for h in range(1, h_max + 1))
+    reports = positivity_margins(X, h_max)
     poly = stable_margin_poly(X)
     lead = poly.leading
     return SweepResult(

@@ -316,14 +316,18 @@ def rebind(monkeypatch, fn, replacement):
 
 
 class TestEachTwistOnce:
-    """Within one command every (instance, twist) pair reaches the Koszul sum once."""
+    """Within one command every (instance, twist) pair reaches the Koszul sum once.
+
+    A lone twist takes the direct sum; a run of twists reaches it only at
+    its last twist, the cross-check of the run's prefix sums."""
 
     @pytest.mark.parametrize("argv, twists", [
         (["invariants", "-h", "7"], {7}),
-        # small-twist band 1..2, which holds the canonical twist 2; the
-        # stable polynomial comes from the subset tables, not from twists
-        (["verdict"], {1, 2}),
-        (["sweep", "--h-max", "40"], set(range(1, 41))),
+        # small-twist band 1..2, checked at its end 2, which is also the
+        # canonical twist and then a memo hit; the stable polynomial comes
+        # from the subset tables, not from twists
+        (["verdict"], {2}),
+        (["sweep", "--h-max", "40"], {40}),
     ], ids=["invariants", "verdict", "sweep"])
     def test_worked_instance(self, capsys, monkeypatch, argv, twists):
         true_sum = invariants._koszul_sum
@@ -338,6 +342,38 @@ class TestEachTwistOnce:
         assert code == 0
         assert {n for n in seen.values() if n > 1} == set()
         assert {h for _, h in seen} == twists
+
+    def test_hypersurface_band_reaches_the_sum_at_its_end(self, capsys, monkeypatch, tmp_path):
+        # band 1..1999 is one run checked at 1999; the canonical twist
+        # 2000 - 80 = 1920 lies inside it and is a memo hit
+        path = tmp_path / "hyper.json"
+        path.write_text(json.dumps({"bundle": {"rank": 80, "degree": 17},
+                                    "ci": {"k": [2000], "y": [3]}}), encoding="utf-8")
+        true_sum = invariants._koszul_sum
+        seen = []
+
+        def counted(X, h):
+            seen.append(h)
+            return true_sum(X, h)
+
+        rebind(monkeypatch, true_sum, counted)
+        code, _, _ = run_main(capsys, "verdict", "-i", str(path))
+        assert code == 0
+        assert seen == [1999]
+
+    def test_sweep_exits_3_when_run_and_direct_sum_disagree(self, capsys, monkeypatch, worked_file):
+        true_sum = invariants._koszul_sum
+
+        def off_by_one(X, h):
+            pf = true_sum(X, h)
+            return replace(pf, degree=pf.degree + 1)
+
+        rebind(monkeypatch, true_sum, off_by_one)
+        code, out, err = run_main(capsys, "sweep", "-i", worked_file, "--h-max", "40")
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: run of twists disagrees "
+                              "with the Koszul sum at h=40:")
+        assert json.dumps(WORKED["ci"]) in err
 
     # unstable.json has the instability excess, so its verdict needs the
     # stable polynomial twice: in the asymptotic and instability verdicts

@@ -9,6 +9,7 @@ from relci import (
     HypothesisError,
     InputError,
     InternalCheckError,
+    PushforwardSummary,
     RelativeCI,
     alpha_invariant,
     balanced_margin,
@@ -20,14 +21,15 @@ from relci import (
     h_top,
     omega_pushforward,
     positivity_margin,
+    positivity_margins,
     pushforward,
     stable_margin_poly,
     surface_formula_check,
 )
 from relci import invariants
 from relci.exact import binom_trunc
-from relci.oracles import sampled_stable_poly
 from tests.conftest import make_ci
+from tests.oracle_poly import sampled_stable_poly
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -135,6 +137,55 @@ class TestMargin:
             for h in range(1, min(X.k)):
                 want = h ** (n - 1) * Fraction(h, r) * binom_trunc(h + r - 1, r - 1) * a
                 assert positivity_margin(X, h).e_cleared == want
+
+
+class TestMarginRuns:
+    """A run of twists equals the direct Koszul sums twist by twist."""
+
+    @staticmethod
+    def assert_run_matches_direct(r, d, k, y, h_max):
+        X, fresh = plain(r, d, k, y), plain(r, d, k, y)
+        run = positivity_margins(X, h_max)
+        assert run == tuple(positivity_margin(fresh, h) for h in range(1, h_max + 1))
+        for h in range(h_max + 1):
+            assert pushforward(X, h) == pushforward(fresh, h)
+
+    @pytest.mark.parametrize("r, d, k, y, h_max", [
+        (4, 4, (3, 3), (1, 2), 40),
+        (30, 17, tuple(range(2, 22)), tuple(range(-10, 10)), 400),
+        (80, 17, tuple(range(2, 42)), tuple(range(-20, 20)), 100),
+    ], ids=["W", "M", "L"])
+    def test_rungs(self, r, d, k, y, h_max):
+        self.assert_run_matches_direct(r, d, k, y, h_max)
+
+    def test_draws(self):
+        rng = random.Random(1111)
+        kinds = Counter()
+        for _ in range(300):
+            X = make_ci(rng, balanced=rng.random() < 0.3)
+            k_sum = X.k_sum
+            h_max = rng.choice([rng.randint(1, k_sum - 1), k_sum, k_sum + rng.randint(1, 10)])
+            kinds.update(hypersurface=X.codim == 1, balanced=X.balanced, short=k_sum < X.rank,
+                         below=h_max < k_sum, at=h_max == k_sum, above=h_max > k_sum)
+            self.assert_run_matches_direct(X.rank, X.degree, X.k, X.y, h_max)
+        assert min(kinds[kind] for kind in ("hypersurface", "balanced", "short", "below", "at", "above")) >= 30
+
+    def test_keeps_memoised_twists(self):
+        X = plain(5, 3, (2, 3), (1, -1))
+        before = [pushforward(X, h) for h in (0, 4, 9)]
+        positivity_margins(X, 9)
+        assert all(pushforward(X, h) is pf for h, pf in zip((0, 4, 9), before))
+
+    def test_rejects_nonpositive_h_max(self):
+        with pytest.raises(InputError):
+            positivity_margins(WORKED, 0)
+
+    def test_wrong_memoised_last_twist_is_caught(self):
+        X = plain(4, 4, (3, 3), (1, 2))
+        pf = pushforward(X, 6)
+        X._memo[6] = PushforwardSummary(6, pf.rank, pf.degree + 1)
+        with pytest.raises(InternalCheckError, match=r"at h=6: .* for instance \{"):
+            positivity_margins(X, 6)
 
 
 class TestStablePoly:
