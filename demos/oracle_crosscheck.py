@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from relci import (
+    BundleOverCurve,
     RelativeCI,
-    SplitBundle,
     canonical_top_power,
     chow_expand,
     cross_check,
@@ -36,16 +36,15 @@ from relci.exact import binom_trunc
 # %%
 # A split bundle of rank 4 and degree 2 with mixed summands.
 
-split = SplitBundle((2, 1, 0, -1))
-E = split.to_bundle()
+E = BundleOverCurve.split((2, 1, 0, -1))
 print("bundle:", E.rank, E.degree, E.hn)
 
 # %%
 # Symmetric powers: enumerate the monomials of Sym^2 explicitly.
 
-monomials = list(combinations_with_replacement(split.line_degrees, 2))
+monomials = list(combinations_with_replacement(E.line_degrees, 2))
 print("Sym^2 monomial degrees:", [sum(m) for m in monomials])
-brute = sym_degree_bruteforce(split, 2, 0)
+brute = sym_degree_bruteforce(E, 2, 0)
 closed = Fraction(binom_trunc(2 + 3, 3) * (2 * E.degree), E.rank)
 print("deg Sym^2 E: brute", brute, " closed", closed)
 
@@ -68,7 +67,7 @@ print(
 # All four suites at once, for twists and exponents 0..8: the same
 # cross-check the ``relci oracle`` subcommand and the acceptance suite run.
 
-checks, mismatches = cross_check(X, split, 8)
+checks, mismatches = cross_check(X, 8)
 print("checks per suite:", checks)
 assert not mismatches, mismatches
 print("all cross-checks passed")

@@ -70,13 +70,15 @@ class BundleOverCurve:
     enter any formula; the base genus is carried along as metadata and
     echoed in reports.  ``hn`` lists the subquotient blocks as
     (rank, degree) pairs, top slope first; a semistable bundle is the
-    single-block profile ``((rank, degree),)``.
+    single-block profile ``((rank, degree),)``.  Only ``split`` sets
+    ``line_degrees`` (in input order), which the brute-force oracles need.
     """
 
     rank: int
     degree: int
     base_genus: int = 0
     hn: tuple[tuple[int, int], ...] | None = None
+    line_degrees: tuple[int, ...] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.rank < 2:
@@ -105,7 +107,9 @@ class BundleOverCurve:
     @classmethod
     def split(cls, line_degrees: Sequence[int], base_genus: int = 0) -> "BundleOverCurve":
         degs = tuple(int(a) for a in line_degrees)
-        return cls(len(degs), sum(degs), base_genus, hn=split_hn_blocks(degs))
+        bundle = cls(len(degs), sum(degs), base_genus, hn=split_hn_blocks(degs))
+        object.__setattr__(bundle, "line_degrees", degs)
+        return bundle
 
     @property
     def slope(self) -> Fraction:

@@ -18,7 +18,9 @@ Instance file schema::
 
 ``hn`` and ``split`` are optional; a ``split`` list must be consistent
 with (rank, degree) and induces the Harder-Narasimhan profile (which
-must then agree with ``hn`` when both are present).
+must then agree with ``hn`` when both are present).  The bundle keeps
+the split (``line_degrees``), and exit-3 messages print the failing
+instance in this schema.
 
 ``-i -`` reads the JSON from standard input.  A section of the wrong
 JSON type (say a list where an object belongs) is invalid input.
@@ -60,7 +62,7 @@ from .invariants import (
     positivity_margin,
     pushforward,
 )
-from .oracles import SplitBundle, cross_check
+from .oracles import cross_check
 from .verdicts import Orientation, VerdictReport, build_example, h_sweep
 from .verdicts import asymptotic_verdict, instability_verdict, slope_verdict, small_h_verdict
 from .svg import cone_diagram
@@ -130,8 +132,8 @@ def _read_json(path: str) -> Any:
         raise InputError(f"input file {path} is not valid JSON: {exc}") from exc
 
 
-def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
-    """Decode an instance in the file schema above; the bundle is ``X.bundle``."""
+def instance_from_json(data: Any) -> RelativeCI:
+    """Decode an instance in the file schema above."""
     _shaped(data, dict, "instance file")
     try:
         braw = _shaped(data["bundle"], dict, "bundle")
@@ -148,20 +150,20 @@ def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
             (_int(b.get("rank"), "bundle.hn.rank"), _int(b.get("degree"), "bundle.hn.degree"))
             for b in blocks
         )
-    split = None
-    if braw.get("split") is not None:
-        degs = _shaped(braw["split"], list, "bundle.split")
-        split = SplitBundle(tuple(_int(a, "bundle.split") for a in degs))
-        if split.rank != rank or split.degree != degree:
+    if braw.get("split") is None:
+        bundle = BundleOverCurve(rank, degree, genus, hn)
+    else:
+        degs = [_int(a, "bundle.split") for a in _shaped(braw["split"], list, "bundle.split")]
+        # before BundleOverCurve.split, whose rank and genus checks would speak
+        # first; it rejects an empty list itself
+        if degs and (len(degs), sum(degs)) != (rank, degree):
             raise InputError(
-                f"bundle.split implies (rank, degree) = ({split.rank}, {split.degree}), "
+                f"bundle.split implies (rank, degree) = ({len(degs)}, {sum(degs)}), "
                 f"file says ({rank}, {degree})"
             )
-        induced = split.to_bundle(genus)
-        if hn is not None and induced.hn != hn:
+        bundle = BundleOverCurve.split(degs, genus)
+        if hn is not None and bundle.hn != hn:
             raise InputError("bundle.hn disagrees with the profile induced by bundle.split")
-        hn = induced.hn
-    bundle = BundleOverCurve(rank, degree, genus, hn)
     k = tuple(_int(v, "ci.k") for v in _shaped(ciraw.get("k", []), list, "ci.k"))
     y = tuple(_int(v, "ci.y") for v in _shaped(ciraw.get("y", []), list, "ci.y"))
     if not k:
@@ -170,10 +172,10 @@ def instance_from_json(data: Any) -> tuple[RelativeCI, SplitBundle | None]:
         raise InputError(f"ci.k sums to {sum(k)}, above the limit {MAX_K_SUM}")
     if rank > MAX_RANK:
         raise InputError(f"bundle.rank {rank} is above the limit {MAX_RANK}")
-    return RelativeCI(bundle, k, y), split
+    return RelativeCI(bundle, k, y)
 
 
-def instance_to_json(X: RelativeCI, split: SplitBundle | None) -> dict:
+def instance_to_json(X: RelativeCI) -> dict:
     """The JSON form of an instance, as ``instance_from_json`` reads it back."""
     bundle = X.bundle
     return {
@@ -182,15 +184,15 @@ def instance_to_json(X: RelativeCI, split: SplitBundle | None) -> dict:
             "degree": bundle.degree,
             "base_genus": bundle.base_genus,
             "hn": [{"rank": r, "degree": d} for r, d in bundle.hn] if bundle.hn else None,
-            "split": list(split.line_degrees) if split else None,
+            "split": list(bundle.line_degrees) if bundle.line_degrees else None,
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
     }
 
 
-def _load_instance(path: str) -> tuple[RelativeCI, SplitBundle | None, dict]:
-    X, split = instance_from_json(_read_json(path))
-    return X, split, instance_to_json(X, split)
+def _load_instance(path: str) -> tuple[RelativeCI, dict]:
+    X = instance_from_json(_read_json(path))
+    return X, instance_to_json(X)
 
 
 def _warnings(X: RelativeCI) -> list[str]:
@@ -236,7 +238,7 @@ def _emit(report: dict, pretty: bool) -> None:
 def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     if args.h > MAX_TWIST:
         raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
-    X, _, echo = _load_instance(args.instance)
+    X, echo = _load_instance(args.instance)
     h = args.h
     pf = pushforward(X, h)
     rep = positivity_margin(X, h) if h >= 1 else None
@@ -263,7 +265,7 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 
 
 def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, _, echo = _load_instance(args.instance)
+    X, echo = _load_instance(args.instance)
     bundle = X.bundle
     cls = ci_class(X)
     cone_part: dict[str, Any] = {"class": {"p": cls.p, "q": cls.q}}
@@ -288,7 +290,7 @@ def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 
 
 def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, _, echo = _load_instance(args.instance)
+    X, echo = _load_instance(args.instance)
     bundle = X.bundle
     if not bundle.has_hn:
         raise InputError("cone description needs the Harder-Narasimhan profile (hn or split)")
@@ -326,7 +328,7 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     if args.h_max > MAX_TWIST:
         raise InputError(f"--h-max {args.h_max} is above the limit {MAX_TWIST}")
-    X, _, echo = _load_instance(args.instance)
+    X, echo = _load_instance(args.instance)
     sweep = h_sweep(X, args.h_max)
     result = {
         "margins": [
@@ -341,8 +343,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, split, echo = _load_instance(args.instance)
-    if split is None:
+    X, echo = _load_instance(args.instance)
+    if X.bundle.line_degrees is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
     h_max = args.h_max
     work = 2**X.codim * binom_trunc(h_max + X.rank, X.rank)
@@ -351,7 +353,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
             f"oracle work 2^{X.codim} * C({h_max} + {X.rank}, {X.rank}) = {work} "
             f"is above the limit {MAX_ORACLE_WORK}"
         )
-    checks, mismatches = cross_check(X, split, h_max)
+    checks, mismatches = cross_check(X, h_max)
     result = {
         "h_max": h_max,
         "checks": checks,
@@ -503,7 +505,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"relci: invalid input: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
-        print(f"relci: internal check failed: {exc}", file=sys.stderr)
+        message = f"relci: internal check failed: {exc}"
+        if exc.instance is not None:
+            message += f" for instance {json.dumps(instance_to_json(exc.instance))}"
+        print(message, file=sys.stderr)
         return 3
     _emit(report, args.pretty)
     return 4 if result.get("mismatches") else 0  # only ``oracle`` reports mismatches

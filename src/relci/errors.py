@@ -21,5 +21,10 @@ class InternalCheckError(RuntimeError):
     """An exact identity that must hold by construction failed.
 
     Seeing this means a formula was transcribed wrongly, not that the
-    input was bad; it is never raised on valid code paths.
+    input was bad; it is never raised on valid code paths.  ``instance``
+    is the instance it failed on, if any, for the exit-3 message.
     """
+
+    def __init__(self, message: str, instance: object = None) -> None:
+        super().__init__(message)
+        self.instance = instance

@@ -45,7 +45,6 @@ Everything here is an exact integer or rational identity in the data
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -245,9 +244,7 @@ def _koszul_sum(X: RelativeCI, h: int) -> PushforwardSummary:
             rank += c * b
             num += b * (c * (h - s) * d + v * r)
     if num % r:
-        raise InternalCheckError(
-            f"pushforward degree not integral: {num}/{r} for {X!r}, h={h}"
-        )
+        raise InternalCheckError(f"pushforward degree not integral: {num}/{r} at h={h}", X)
     return PushforwardSummary(h, rank, num // r)
 
 
@@ -300,12 +297,10 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...
     memo = X._memo
     last = memo.get(h_max) or _koszul_sum(X, h_max)
     if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
-        from .cli import instance_to_json  # cli imports this module
-
         raise InternalCheckError(
             f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
-            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree} for instance "
-            f"{json.dumps(instance_to_json(X, None))}"
+            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}",
+            X,
         )
     for h, (rank, degree) in enumerate(zip(ranks, degrees)):
         if h not in memo:
@@ -365,7 +360,8 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     if any(b[:c]) or any(v[: c - 1]):
         raise InternalCheckError(
             f"subset table moments below order c = {c} (c - 1 for val) do not vanish: "
-            f"cnt {b[:c]}, val {v[: c - 1]} for {X!r}"
+            f"cnt {b[:c]}, val {v[: c - 1]}",
+            X,
         )
     tb = [x - y for x, y in zip(b, [0, *b])]
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
@@ -386,7 +382,7 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     poly = RatPoly(Fraction(x, den) for x in out)
     if poly.degree >= n:
         raise InternalCheckError(
-            f"stable margin polynomial has degree {poly.degree} >= dim X = {n} for {X!r}"
+            f"stable margin polynomial has degree {poly.degree} >= dim X = {n}", X
         )
     return poly
 
@@ -458,8 +454,7 @@ def canonical_margin(X: RelativeCI) -> PositivityReport:
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
     if direct != report.e_cleared:
         raise InternalCheckError(
-            f"canonical margin mismatch: direct {direct} vs twisted "
-            f"{report.e_cleared} for {X!r}"
+            f"canonical margin mismatch: direct {direct} vs twisted {report.e_cleared}", X
         )
     return report
 

@@ -2,10 +2,10 @@
 
 None of these reuse the closed forms they validate:
 
-* symmetric-power degrees of split bundles by exhaustive multiset
-  enumeration (the pushforward degree formulas depend on the bundle
-  only through rank and degree, so split instances validate them for
-  all bundles);
+* symmetric-power degrees of split bundles (``BundleOverCurve.split``)
+  by exhaustive multiset enumeration (the pushforward degree formulas
+  depend on the bundle only through rank and degree, so split instances
+  validate them for all bundles);
 * pushforward degrees via the alternating sum of twisted
   symmetric-power degrees over index subsets, term by term;
 * pushforward ranks as coefficients of the fibre Hilbert series
@@ -15,7 +15,7 @@ None of these reuse the closed forms they validate:
   the cycle ring of the projective bundle (relations S*S = 0,
   H^r = d * point, H^(r-1) * S = point).
 
-``cross_check`` runs all four against the closed forms on one instance.
+``cross_check`` runs all four against the closed forms on one split instance.
 
 Enumeration sizes grow like binom(h + r - 1, r - 1); the intended range
 (r <= 5, twists <= 12 or so) runs in well under a second.
@@ -40,7 +40,6 @@ from .invariants import (
 )
 
 __all__ = [
-    "SplitBundle",
     "ChowClass",
     "ChowSummary",
     "sym_degree_bruteforce",
@@ -51,49 +50,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SplitBundle:
-    """A direct sum of line bundles, given by their degrees."""
-
-    line_degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "line_degrees", tuple(int(a) for a in self.line_degrees)
-        )
-        if not self.line_degrees:
-            raise InputError("split bundle needs at least one summand")
-
-    @property
-    def rank(self) -> int:
-        return len(self.line_degrees)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.line_degrees)
-
-    def to_bundle(self, base_genus: int = 0) -> BundleOverCurve:
-        return BundleOverCurve.split(self.line_degrees, base_genus)
-
-
-def sym_degree_bruteforce(split: SplitBundle, a: int, twist: int) -> int:
+def sym_degree_bruteforce(bundle: BundleOverCurve, a: int, twist: int) -> int:
     """Degree of Sym^a(E) twisted down by a degree-``twist`` line bundle.
 
-    Monomials of degree a in the line summands enumerate a basis of the
-    symmetric power; each contributes the sum of its chosen degrees.
-    The twist subtracts its degree once per basis element.  For a = 0
-    this is just -twist (the trivial summand).
+    Monomials of degree a in the line summands (E from ``BundleOverCurve.split``)
+    enumerate a basis of the symmetric power; each contributes the sum of
+    its chosen degrees.  The twist subtracts its degree once per basis
+    element.  For a = 0 this is just -twist (the trivial summand).
     """
     if a < 0:
         raise InputError(f"symmetric power exponent must be >= 0, got {a}")
-    total = sum(
-        sum(pick)
-        for pick in combinations_with_replacement(split.line_degrees, a)
-    )
-    return total - binom_trunc(a + split.rank - 1, split.rank - 1) * twist
+    if bundle.line_degrees is None:
+        raise InputError("brute-force oracles need a split bundle (BundleOverCurve.split)")
+    total = sum(sum(pick) for pick in combinations_with_replacement(bundle.line_degrees, a))
+    return total - binom_trunc(a + bundle.rank - 1, bundle.rank - 1) * twist
 
 
-def koszul_degree_bruteforce(split: SplitBundle, X: RelativeCI, h: int) -> int:
+def koszul_degree_bruteforce(X: RelativeCI, h: int) -> int:
     """Pushforward degree of O_X(h) summed term by term over subsets.
 
     The term for subset I is the twisted symmetric power of exponent
@@ -101,8 +74,6 @@ def koszul_degree_bruteforce(split: SplitBundle, X: RelativeCI, h: int) -> int:
     enumerator with twist -y_I.  Subsets pushing the exponent negative
     contribute nothing.  Independent of the closed degree formula.
     """
-    if X.bundle != split.to_bundle(X.bundle.base_genus):
-        raise InputError("complete intersection bundle does not match the split bundle")
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
     total = 0
@@ -110,7 +81,7 @@ def koszul_degree_bruteforce(split: SplitBundle, X: RelativeCI, h: int) -> int:
         for I in combinations(zip(X.k, X.y), size):
             a = h - sum(ki for ki, _ in I)
             if a >= 0:
-                total += (-1) ** size * sym_degree_bruteforce(split, a, -sum(yi for _, yi in I))
+                total += (-1) ** size * sym_degree_bruteforce(X.bundle, a, -sum(yi for _, yi in I))
     return total
 
 
@@ -220,17 +191,14 @@ def chow_expand(X: RelativeCI) -> ChowSummary:
     )
 
 
-def cross_check(
-    X: RelativeCI, split: SplitBundle, h_max: int
-) -> tuple[dict[str, int], list[dict]]:
+def cross_check(X: RelativeCI, h_max: int) -> tuple[dict[str, int], list[dict]]:
     """Compare every closed form on X with its brute-force oracle.
 
-    Four suites: symmetric-power degrees of ``split`` for exponents
-    0..h_max and twists -3..3, pushforward degrees and ranks for
-    h = 0..h_max, and the intersection numbers and class of X against
-    ``chow_expand``.  ``split`` must be the bundle of X.  Returns the
-    number of comparisons per suite and one entry per disagreement
-    (empty when every closed form agrees).
+    Four suites: symmetric-power degrees of the (split) bundle of X for
+    exponents 0..h_max and twists -3..3, pushforward degrees and ranks
+    for h = 0..h_max, and the intersection numbers and class of X
+    against ``chow_expand``.  Returns the number of comparisons per
+    suite and one entry per disagreement (empty when all agree).
     """
     r, d = X.rank, X.degree
     checks = {"sym_closed_form": 0, "koszul_vs_degree": 0, "hilbert_vs_rank": 0, "chow_vs_closed_forms": 0}
@@ -244,10 +212,10 @@ def cross_check(
     for a in range(h_max + 1):
         for twist in range(-3, 4):
             closed = Fraction(binom_trunc(a + r - 1, r - 1) * (a * d - twist * r), r)
-            compare("sym_closed_form", sym_degree_bruteforce(split, a, twist), closed, a=a, twist=twist)
+            compare("sym_closed_form", sym_degree_bruteforce(X.bundle, a, twist), closed, a=a, twist=twist)
     for h in range(h_max + 1):
         pf = pushforward(X, h)
-        compare("koszul_vs_degree", koszul_degree_bruteforce(split, X, h), pf.degree, h=h)
+        compare("koszul_vs_degree", koszul_degree_bruteforce(X, h), pf.degree, h=h)
         compare("hilbert_vs_rank", hilbert_series_rank(X.k, r, h), pf.rank, h=h)
     summary = chow_expand(X)
     cls = ci_class(X)

@@ -102,8 +102,9 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     by_margins = all(m >= 0 for m in margins.values())
     if not by_alpha == by_ratio == by_margins:
         raise InternalCheckError(
-            f"small-twist equivalence broke on {X!r}: "
-            f"alpha {a}, ratio {X.ratio_sum} vs {c_mu}, margins {margins}"
+            f"small-twist equivalence broke: "
+            f"alpha {a}, ratio {X.ratio_sum} vs {c_mu}, margins {margins}",
+            X,
         )
     return VerdictReport(
         theorem="SmallH",
@@ -172,8 +173,9 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     crit = X.bundle.slope >= ratio
     if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
         raise InternalCheckError(
-            f"slope equivalence broke on {X!r}: kf_top {kf}, "
-            f"margin {margin.e_cleared}, criterion {crit}"
+            f"slope equivalence broke: kf_top {kf}, "
+            f"margin {margin.e_cleared}, criterion {crit}",
+            X,
         )
     return VerdictReport(
         theorem="Slope",

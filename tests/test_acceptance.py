@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import factorial
 
 from relci import (
+    BundleOverCurve,
     ConeLabel,
     RelativeCI,
     alpha_invariant,
@@ -65,7 +66,6 @@ from relci import (
 from relci.bundles import REGIONS_OUTSIDE_BRIDGE
 from relci.contact import ContactInstance, HMStatus, WeightFiltration
 from relci.exact import binom_trunc
-from relci.oracles import SplitBundle
 from tests.conftest import make_ci, make_hn_bundle
 
 
@@ -194,14 +194,12 @@ def test_criterion_4_slope_theorem():
 
 
 def test_criterion_5_worked_instance_via_oracles():
-    split = SplitBundle((1, 1, 1, 1))
-    E = split.to_bundle()
-    X = RelativeCI(E, (3, 3), (1, 2))
+    X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
 
     # oracle-side values first
     chow = chow_expand(X)
     rank_oracle = hilbert_series_rank((3, 3), 4, 2)
-    deg_oracle = koszul_degree_bruteforce(split, X, 2)
+    deg_oracle = koszul_degree_bruteforce(X, 2)
     deg_omega_oracle = deg_oracle - (3 - 4) * rank_oracle
     alpha_oracle = 4 * 9 * (2 * Fraction(4, 4) - (Fraction(1, 3) + Fraction(2, 3)))
     slope_margin_oracle = chow.kf_top * rank_oracle - 2 * (2 * 9) * deg_omega_oracle
@@ -277,28 +275,27 @@ def test_criterion_7_oracle_equivalence():
     checked = 0
     for r, splits in GRID_SPLITS.items():
         for degs in splits:
-            split = SplitBundle(degs)
-            E = split.to_bundle()
+            E = BundleOverCurve.split(degs)
             for c in range(1, r - 1):
                 for k in GRID_DEGREES[c]:
                     for y in GRID_TWISTS[c]:
-                        checks, mismatches = cross_check(RelativeCI(E, k, y), split, 12)
+                        checks, mismatches = cross_check(RelativeCI(E, k, y), 12)
                         checked += sum(checks.values())
                         bad += [(degs, k, y, m) for m in mismatches]
     rng = random.Random(707)
     for _ in range(200):
         r = rng.randint(3, 5)
-        split = SplitBundle(tuple(rng.randint(-4, 4) for _ in range(r)))
+        E = BundleOverCurve.split([rng.randint(-4, 4) for _ in range(r)])
         c = rng.randint(1, r - 2)
         X = RelativeCI(
-            split.to_bundle(),
+            E,
             tuple(rng.randint(2, 5) for _ in range(c)),
             tuple(rng.randint(-6, 6) for _ in range(c)),
         )
         h = rng.randint(0, 12)
-        checks, mismatches = cross_check(X, split, h)
+        checks, mismatches = cross_check(X, h)
         checked += sum(checks.values())
-        bad += [(split, X, m) for m in mismatches]
+        bad += [(X, m) for m in mismatches]
     ok = not bad
     scoreboard(7, f"oracle equivalence ({checked} checks)", ok)
     assert ok, bad[:3]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from relci import (
     mn_divisor_test,
     virtual_slopes,
 )
+from relci.cli import main
 from relci.oracles import chow_expand
 from tests.conftest import make_hn_bundle
 
@@ -44,6 +46,29 @@ class TestBundleValidation:
         assert SPLIT_210.hn == ((1, 2), (1, 1), (1, 0))
         assert BundleOverCurve.split((1, 1, 1, 1)).hn == ((4, 4),)
         assert BundleOverCurve.split((3, 3, 0)).hn == ((2, 6), (1, 0))
+
+
+class TestLineDegrees:
+    def test_split_keeps_input_order(self):
+        bundle = BundleOverCurve.split((0, 2, 1, 0))
+        assert bundle.line_degrees == (0, 2, 1, 0)
+        assert bundle.hn == ((1, 2), (1, 1), (2, 0))
+
+    def test_echo_keeps_input_order(self, tmp_path, capsys):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"bundle": {"rank": 4, "degree": 3, "split": [0, 2, 1, 0]},
+                                    "ci": {"k": [3], "y": [1]}}), encoding="utf-8")
+        assert main(["invariants", "-i", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["bundle"]["split"] == ["0", "2", "1", "0"]
+
+    def test_unsplit_bundles_have_none(self):
+        assert BundleOverCurve(4, 4).line_degrees is None
+        assert BundleOverCurve(4, 4, hn=((2, 4), (2, 0))).line_degrees is None
+        assert BundleOverCurve.semistable(4, 4).line_degrees is None
+
+    def test_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            BundleOverCurve(4, 3, line_degrees=(0, 2, 1, 0))
 
 
 class TestVirtualSlopes:

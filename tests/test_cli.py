@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci import BundleOverCurve, RelativeCI, SplitBundle, cross_check, exact, invariants, oracles
+from relci import BundleOverCurve, RelativeCI, cross_check, exact, invariants, oracles
 from relci.bundles import split_hn_blocks
 from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_TWIST, instance_from_json, instance_to_json, main
 
@@ -298,8 +298,8 @@ class TestOracleCanFail:
             return replace(pf, degree=pf.degree + 1)
 
         monkeypatch.setattr(oracles, "pushforward", off_by_one)
-        split = SplitBundle((1, 1, 1, 1))
-        checks, mismatches = cross_check(RelativeCI(split.to_bundle(), (3, 3), (1, 2)), split, 4)
+        X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+        checks, mismatches = cross_check(X, 4)
         assert checks["koszul_vs_degree"] == 5
         assert [(m["suite"], m["h"]) for m in mismatches] == [("koszul_vs_degree", h) for h in range(5)]
         code, out, _ = run_main(capsys, "oracle", "-i", worked_file, "--h-max", "4")
@@ -374,6 +374,7 @@ class TestEachTwistOnce:
         assert err.startswith("relci: internal check failed: run of twists disagrees "
                               "with the Koszul sum at h=40:")
         assert json.dumps(WORKED["ci"]) in err
+        assert '"split": [1, 1, 1, 1]' in err
 
     # unstable.json has the instability excess, so its verdict needs the
     # stable polynomial twice: in the asymptotic and instability verdicts
@@ -405,6 +406,9 @@ class TestEachTwistOnce:
         code, out, err = run_main(capsys, "verdict", "-i", worked_file)
         assert (code, out) == (3, "")
         assert err.startswith("relci: internal check failed: subset table moments")
+        # the instance as an instance file reads it back, not its repr
+        echo = instance_to_json(instance_from_json(WORKED))
+        assert err.endswith(f" for instance {json.dumps(echo)}\n")
 
 
 @st.composite
@@ -413,23 +417,24 @@ def instances(draw):
     kind = draw(st.sampled_from(["plain", "hn", "split"]))
     genus = draw(st.integers(0, 3))
     degs = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=6))
-    split = SplitBundle(tuple(degs)) if kind == "split" else None
-    hn = split_hn_blocks(degs) if kind != "plain" else None
-    bundle = BundleOverCurve(len(degs), sum(degs), genus, hn)
+    if kind == "split":
+        bundle = BundleOverCurve.split(degs, genus)
+    else:
+        hn = split_hn_blocks(degs) if kind == "hn" else None
+        bundle = BundleOverCurve(len(degs), sum(degs), genus, hn)
     c = draw(st.integers(1, bundle.rank - 2))
     k = draw(st.lists(st.integers(2, 6), min_size=c, max_size=c))
     y = draw(st.lists(st.integers(-10, 10), min_size=c, max_size=c))
-    return RelativeCI(bundle, tuple(k), tuple(y)), split
+    return RelativeCI(bundle, tuple(k), tuple(y))
 
 
 class TestInstanceCodec:
     @given(instances())
-    def test_round_trip(self, instance):
-        X, split = instance
-        doc = instance_to_json(X, split)
-        X2, split2 = instance_from_json(json.loads(json.dumps(doc)))
-        assert (X2, split2) == (X, split)
-        assert instance_to_json(X2, split2) == doc
+    def test_round_trip(self, X):
+        doc = instance_to_json(X)
+        X2 = instance_from_json(json.loads(json.dumps(doc)))
+        assert X2 == X
+        assert instance_to_json(X2) == doc
 
 
 WRONG_SHAPES = {
@@ -515,7 +520,7 @@ class TestWorkLimits:
         self.assert_rejected(capsys, "invariants", "-i", str(tmp_path / "missing.json"), "-h", str(10**2200))
 
     def test_oracle_work(self, capsys, monkeypatch, worked_file):
-        def refuse(X, split, h_max):
+        def refuse(X, h_max):
             raise AssertionError(f"cross_check ran at h_max {h_max}")
 
         rebind(monkeypatch, oracles.cross_check, refuse)
@@ -582,7 +587,7 @@ def scrambled(draw, documents):
     return walk(draw(documents))
 
 
-INSTANCE_TREES = scrambled(instances().map(lambda inst: instance_to_json(*inst)))
+INSTANCE_TREES = scrambled(instances().map(instance_to_json))
 CONTACT_TREES = scrambled(contact_payloads())
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from relci import BundleOverCurve, InputError, RelativeCI, SplitBundle
+from relci import BundleOverCurve, InputError, RelativeCI
 from relci.exact import RatPoly, binom_trunc, signed_subset_tables
 from relci.invariants import pushforward
 from relci.oracles import hilbert_series_rank

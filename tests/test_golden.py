@@ -4,8 +4,10 @@ The cases cover every demo instance under every subcommand, plus inline
 instances that reach each per-instance decision the reports depend on
 (effectivity warnings, bridge membership without a Harder-Narasimhan
 profile, the balanced canonical gate, the instability excess, eventual
-signs that disagree with alpha) and the ``example`` family in both
-orientations.  ``--help`` is left out: argparse wraps it to the terminal.
+signs that disagree with alpha), the ``example`` family in both
+orientations, and split lists that do not fit the rest of the bundle
+(exit 2, each message naming the first inconsistency in file order).
+``--help`` is left out: argparse wraps it to the terminal.
 
 Regenerate the expected file only after a deliberate report change::
 
@@ -27,8 +29,10 @@ INSTANCES = ROOT / "demos" / "instances"
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 
-def _instance(rank, degree, k, y, *, split=None, hn=None):
+def _instance(rank, degree, k, y, *, split=None, hn=None, base_genus=None):
     bundle = {"rank": rank, "degree": degree}
+    if base_genus is not None:
+        bundle["base_genus"] = base_genus
     if split is not None:
         bundle["split"] = list(split)
     if hn is not None:
@@ -58,6 +62,16 @@ INLINE = {
     "split_r10": _instance(10, 17, [6, 2, 5], [2, 7, 8], split=[3, -1, 2, 4, -1, 4, 0, -2, 3, 5]),
 }
 
+# exit 2: the split's length and sum are compared with rank and degree
+# before the bundle's own checks (rank >= 2, genus >= 0) run
+INVALID_SPLITS = {
+    "split_shorter_than_rank": _instance(4, 5, [3], [1], split=[5]),
+    "split_sum_not_degree": _instance(4, 5, [3], [1], split=[1, 1, 1, 1]),
+    "split_wrong_length_negative_genus": _instance(4, 3, [3], [1], split=[1, 1, 1], base_genus=-1),
+    "split_disagrees_with_hn": _instance(4, 4, [3], [1], split=[1, 1, 1, 1], hn=[(2, 4), (2, 0)]),
+    "split_empty": _instance(4, 0, [3], [1], split=[]),
+}
+
 EXAMPLES = [(1, 4, 2, 2), (2, 5, 3, 1), (1, 3, 1, 1), (3, 6, 2, 3), (2, 3, 1, 2), (0, 4, 2, 1)]
 
 
@@ -77,6 +91,9 @@ def _cases():
         if "split" in doc["bundle"]:
             argvs.append(["oracle", "--h-max", "3"])
         out += [(f"{name} {' '.join(a)}", a, doc) for a in argvs]
+    for name, doc in INVALID_SPLITS.items():
+        for argv in (["verdict"], ["oracle", "--h-max", "3"]):
+            out.append((f"{name} {' '.join(argv)}", argv, doc))
     for a, r, c, m in EXAMPLES:
         for orientation in ("as-written", "swapped"):
             argv = ["example", "--a", str(a), "--r", str(r), "--c", str(c), "--m", str(m),

@@ -6,7 +6,8 @@ imported module, once.  Star imports appear only in ``__init__.py``,
 which re-exports each module's ``__all__``, and only from modules that
 define one.  No module imports another module's private
 (underscore-prefixed) names or reads a private attribute it does not
-define itself.
+define itself.  Only the front end ``cli`` depends on ``cli``: no other
+module imports it, at any depth of its source.
 """
 
 import ast
@@ -105,3 +106,22 @@ def test_no_foreign_private_attributes(path):
         and node.attr not in defined
     ]
     assert foreign == [], f"{path.name} reads private attributes defined elsewhere"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Absolute names of the modules an import statement may load, anywhere in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["relci" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"], ids=lambda p: p.name)
+def test_only_the_front_end_imports_cli(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "relci.cli" not in _imported_modules(tree), f"{path.name} imports relci.cli"

@@ -6,7 +6,6 @@ from relci import (
     BundleOverCurve,
     InputError,
     RelativeCI,
-    SplitBundle,
     canonical_top_power,
     chow_expand,
     ci_class,
@@ -20,32 +19,32 @@ from relci import (
 from relci.exact import binom_trunc
 
 
-def closed_sym_degree(split, a, twist):
-    r, d = split.rank, split.degree
+def closed_sym_degree(bundle, a, twist):
+    r, d = bundle.rank, bundle.degree
     return Fraction(binom_trunc(a + r - 1, r - 1) * (a * d - twist * r), r)
 
 
 class TestSymDegree:
     def test_two_lines(self):
-        S = SplitBundle((1, 0))
+        S = BundleOverCurve.split((1, 0))
         assert sym_degree_bruteforce(S, 2, 0) == 3 == closed_sym_degree(S, 2, 0)
 
     def test_sym_zero(self):
-        S = SplitBundle((2, 1, 0))
+        S = BundleOverCurve.split((2, 1, 0))
         assert sym_degree_bruteforce(S, 0, 5) == -5
 
     def test_twisted(self):
-        S = SplitBundle((2, 1, 0))
+        S = BundleOverCurve.split((2, 1, 0))
         assert sym_degree_bruteforce(S, 1, 1) == 0 == closed_sym_degree(S, 1, 1)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InputError):
-            sym_degree_bruteforce(SplitBundle((1, 0)), -1, 0)
+            sym_degree_bruteforce(BundleOverCurve.split((1, 0)), -1, 0)
 
     def test_matches_closed_form(self, rng):
         for _ in range(60):
             r = rng.randint(2, 5)
-            S = SplitBundle(tuple(rng.randint(-4, 4) for _ in range(r)))
+            S = BundleOverCurve.split(tuple(rng.randint(-4, 4) for _ in range(r)))
             a = rng.randint(0, 9)
             twist = rng.randint(-4, 4)
             assert sym_degree_bruteforce(S, a, twist) == closed_sym_degree(S, a, twist)
@@ -53,39 +52,36 @@ class TestSymDegree:
 
 class TestKoszulDegree:
     def test_single_term_below_min_degree(self):
-        S = SplitBundle((2, 1, 0, -1))
-        X = RelativeCI(S.to_bundle(), (3, 4), (1, -2))
+        S = BundleOverCurve.split((2, 1, 0, -1))
+        X = RelativeCI(S, (3, 4), (1, -2))
         for h in range(0, 3):
-            assert koszul_degree_bruteforce(S, X, h) == sym_degree_bruteforce(S, h, 0)
+            assert koszul_degree_bruteforce(X, h) == sym_degree_bruteforce(S, h, 0)
 
     def test_worked_instance(self):
-        S = SplitBundle((1, 1, 1, 1))
-        X = RelativeCI(S.to_bundle(), (3, 3), (1, 2))
-        assert koszul_degree_bruteforce(S, X, 2) == 20 == pushforward(X, 2).degree
+        X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+        assert koszul_degree_bruteforce(X, 2) == 20 == pushforward(X, 2).degree
 
     def test_h_zero(self):
-        S = SplitBundle((1, 1, 1, 1))
-        X = RelativeCI(S.to_bundle(), (3, 3), (1, 2))
-        assert koszul_degree_bruteforce(S, X, 0) == 0
+        X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+        assert koszul_degree_bruteforce(X, 0) == 0
 
-    def test_bundle_mismatch_rejected(self):
-        S = SplitBundle((1, 1, 1, 1))
+    def test_unsplit_bundle_rejected(self):
         X = RelativeCI(BundleOverCurve(4, 5), (3, 3), (1, 2))
-        with pytest.raises(InputError):
-            koszul_degree_bruteforce(S, X, 2)
+        with pytest.raises(InputError, match="split bundle"):
+            koszul_degree_bruteforce(X, 2)
 
     def test_matches_degree_formula(self, rng):
         for _ in range(40):
             r = rng.randint(3, 5)
-            S = SplitBundle(tuple(rng.randint(-4, 4) for _ in range(r)))
+            S = BundleOverCurve.split(tuple(rng.randint(-4, 4) for _ in range(r)))
             c = rng.randint(1, r - 2)
             X = RelativeCI(
-                S.to_bundle(),
+                S,
                 tuple(rng.randint(2, 5) for _ in range(c)),
                 tuple(rng.randint(-6, 6) for _ in range(c)),
             )
             for h in range(0, 11):
-                assert koszul_degree_bruteforce(S, X, h) == pushforward(X, h).degree
+                assert koszul_degree_bruteforce(X, h) == pushforward(X, h).degree
 
 
 class TestHilbertSeries:
