@@ -72,6 +72,9 @@ class BundleOverCurve:
     (rank, degree) pairs, top slope first; a semistable bundle is the
     single-block profile ``((rank, degree),)``.  Only ``split`` sets
     ``line_degrees`` (in input order), which the brute-force oracles need.
+    Since it is not a constructor parameter, ``dataclasses.replace`` on a
+    split bundle returns one without ``line_degrees``; rebuild it with
+    ``split`` instead.
     """
 
     rank: int

@@ -190,11 +190,6 @@ def instance_to_json(X: RelativeCI) -> dict:
     }
 
 
-def _load_instance(path: str) -> tuple[RelativeCI, dict]:
-    X = instance_from_json(_read_json(path))
-    return X, instance_to_json(X)
-
-
 def _warnings(X: RelativeCI) -> list[str]:
     return [
         f"hypersurface {i}: y/k = {Fraction(X.y[i - 1], X.k[i - 1])} exceeds the "
@@ -232,13 +227,12 @@ def _emit(report: dict, pretty: bool) -> None:
 
 # ---------------------------------------------------------------- commands
 #
-# Each command returns the (input echo, result, warnings) of its report.
+# A command on an instance file takes the instance ``main`` loaded and
+# returns the result of its report; ``main`` adds the echo and warnings.
+# ``contact`` and ``example`` read their own input and return (echo, result).
 
 
-def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    if args.h > MAX_TWIST:
-        raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
-    X, echo = _load_instance(args.instance)
+def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
     h = args.h
     pf = pushforward(X, h)
     rep = positivity_margin(X, h) if h >= 1 else None
@@ -261,11 +255,10 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         result["e_cleared"] = rep.e_cleared
         result["e_rational"] = rep.e_rational
         result["sign"] = _SIGN_WORD[rep.sign]
-    return echo, result, _warnings(X)
+    return result
 
 
-def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, echo = _load_instance(args.instance)
+def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
     bundle = X.bundle
     cls = ci_class(X)
     cone_part: dict[str, Any] = {"class": {"p": cls.p, "q": cls.q}}
@@ -286,11 +279,10 @@ def _cmd_verdict(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     }
     result = {name: _verdict_dict(v) for name, v in verdicts.items()}
     result["cone"] = cone_part
-    return echo, result, _warnings(X)
+    return result
 
 
-def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, echo = _load_instance(args.instance)
+def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
     bundle = X.bundle
     if not bundle.has_hn:
         raise InputError("cone description needs the Harder-Narasimhan profile (hn or split)")
@@ -308,7 +300,7 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         except OSError as exc:
             raise InputError(f"cannot write {args.svg}: {exc}") from exc
         svg_path = args.svg
-    result = {
+    return {
         "codim": c,
         "cones": [
             {
@@ -322,15 +314,11 @@ def _cmd_cones(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         "coincide": bundle.is_semistable,
         "svg": svg_path,
     }
-    return echo, result, _warnings(X)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    if args.h_max > MAX_TWIST:
-        raise InputError(f"--h-max {args.h_max} is above the limit {MAX_TWIST}")
-    X, echo = _load_instance(args.instance)
+def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)
-    result = {
+    return {
         "margins": [
             {"h": rep.h, "e_cleared": rep.e_cleared, "sign": _SIGN_WORD[rep.sign]}
             for rep in sweep.reports
@@ -339,11 +327,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         "sign_stable_from": sweep.sign_stable_from,
         "eventual_sign": _SIGN_WORD[sweep.eventual_sign],
     }
-    return echo, result, _warnings(X)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
-    X, echo = _load_instance(args.instance)
+def _cmd_oracle(X: RelativeCI, args: argparse.Namespace) -> dict:
     if X.bundle.line_degrees is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
     h_max = args.h_max
@@ -354,16 +340,15 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
             f"is above the limit {MAX_ORACLE_WORK}"
         )
     checks, mismatches = cross_check(X, h_max)
-    result = {
+    return {
         "h_max": h_max,
         "checks": checks,
         "mismatches": mismatches,
         "status": "all 4 oracle suites passed" if not mismatches else "oracle mismatch",
     }
-    return echo, result, _warnings(X)
 
 
-def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
+def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict]:
     data = _shaped(_read_json(args.instance), dict, "contact input")
     try:
         weights = WeightFiltration(
@@ -393,10 +378,10 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
     }
     echo = {name: {"dim": T.dim, "deg": T.deg, "e_f": T.e_f} for name, T in insts.items()}
     echo["weights"] = list(weights.weights)
-    return echo, result, []
+    return echo, result
 
 
-def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
+def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict]:
     bundle, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
     echo = {
         "a": args.a,
@@ -414,7 +399,7 @@ def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict, list[str]]:
         "ci": {"k": list(X.k), "y": list(X.y)},
         "verdict": _verdict_dict(report),
     }
-    return echo, result, []
+    return echo, result
 
 
 # ------------------------------------------------------------------ parser
@@ -498,16 +483,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    X = None
     try:
-        echo, result, warnings = args.func(args)
+        if args.command in ("contact", "example"):
+            echo, result = args.func(args)
+            warnings = []
+        else:
+            if args.command == "invariants" and args.h > MAX_TWIST:
+                raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
+            if args.command == "sweep" and args.h_max > MAX_TWIST:
+                raise InputError(f"--h-max {args.h_max} is above the limit {MAX_TWIST}")
+            X = instance_from_json(_read_json(args.instance))
+            echo = instance_to_json(X)
+            result = args.func(X, args)
+            warnings = _warnings(X)
         report = _report(args.command, echo, result, warnings)
     except InputError as exc:
         print(f"relci: invalid input: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         message = f"relci: internal check failed: {exc}"
-        if exc.instance is not None:
-            message += f" for instance {json.dumps(instance_to_json(exc.instance))}"
+        if X is not None:
+            message += f" for instance {json.dumps(instance_to_json(X))}"
         print(message, file=sys.stderr)
         return 3
     _emit(report, args.pretty)

@@ -21,10 +21,7 @@ class InternalCheckError(RuntimeError):
     """An exact identity that must hold by construction failed.
 
     Seeing this means a formula was transcribed wrongly, not that the
-    input was bad; it is never raised on valid code paths.  ``instance``
-    is the instance it failed on, if any, for the exit-3 message.
+    input was bad; it is never raised on valid code paths.  The message
+    says what failed; the command line front end adds the instance it
+    was running on.
     """
-
-    def __init__(self, message: str, instance: object = None) -> None:
-        super().__init__(message)
-        self.instance = instance

@@ -120,12 +120,6 @@ class RatPoly:
             return self.coeffs[power]
         return Fraction(0)
 
-    def __call__(self, x: Rat | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -138,7 +132,7 @@ class RatPoly:
         return f"RatPoly({list(self.coeffs)!r})"
 
     def sign_stable_from(self) -> int:
-        """Integer N such that the sign of self(x) is constant for x > N.
+        """Integer N such that the sign of the polynomial at x is constant for x > N.
 
         Uses the Cauchy root bound 1 + max |a_i / a_lead|; any valid
         bound would do since all coefficients are exact.  Returns 0 for

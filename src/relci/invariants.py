@@ -244,7 +244,7 @@ def _koszul_sum(X: RelativeCI, h: int) -> PushforwardSummary:
             rank += c * b
             num += b * (c * (h - s) * d + v * r)
     if num % r:
-        raise InternalCheckError(f"pushforward degree not integral: {num}/{r} at h={h}", X)
+        raise InternalCheckError(f"pushforward degree not integral: {num}/{r} at h={h}")
     return PushforwardSummary(h, rank, num // r)
 
 
@@ -299,8 +299,7 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...
     if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
         raise InternalCheckError(
             f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
-            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}",
-            X,
+            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}"
         )
     for h, (rank, degree) in enumerate(zip(ranks, degrees)):
         if h not in memo:
@@ -360,8 +359,7 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     if any(b[:c]) or any(v[: c - 1]):
         raise InternalCheckError(
             f"subset table moments below order c = {c} (c - 1 for val) do not vanish: "
-            f"cnt {b[:c]}, val {v[: c - 1]}",
-            X,
+            f"cnt {b[:c]}, val {v[: c - 1]}"
         )
     tb = [x - y for x, y in zip(b, [0, *b])]
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
@@ -382,7 +380,7 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     poly = RatPoly(Fraction(x, den) for x in out)
     if poly.degree >= n:
         raise InternalCheckError(
-            f"stable margin polynomial has degree {poly.degree} >= dim X = {n}", X
+            f"stable margin polynomial has degree {poly.degree} >= dim X = {n}"
         )
     return poly
 
@@ -454,7 +452,7 @@ def canonical_margin(X: RelativeCI) -> PositivityReport:
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
     if direct != report.e_cleared:
         raise InternalCheckError(
-            f"canonical margin mismatch: direct {direct} vs twisted {report.e_cleared}", X
+            f"canonical margin mismatch: direct {direct} vs twisted {report.e_cleared}"
         )
     return report
 

@@ -103,8 +103,7 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     if not by_alpha == by_ratio == by_margins:
         raise InternalCheckError(
             f"small-twist equivalence broke: "
-            f"alpha {a}, ratio {X.ratio_sum} vs {c_mu}, margins {margins}",
-            X,
+            f"alpha {a}, ratio {X.ratio_sum} vs {c_mu}, margins {margins}"
         )
     return VerdictReport(
         theorem="SmallH",
@@ -174,8 +173,7 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
         raise InternalCheckError(
             f"slope equivalence broke: kf_top {kf}, "
-            f"margin {margin.e_cleared}, criterion {crit}",
-            X,
+            f"margin {margin.e_cleared}, criterion {crit}"
         )
     return VerdictReport(
         theorem="Slope",

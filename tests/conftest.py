@@ -3,12 +3,16 @@
 Instances are drawn with plain seeded ``random.Random`` so every run
 checks the same cases; ranges follow the acceptance suite conventions
 (rank 3..8, degrees 2..6, twists and bundle degrees in -10..10).
+``child_env`` is the environment for a child ``python`` that must import
+relci from this checkout.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +64,10 @@ def make_hn_bundle(rng: random.Random, r: int | None = None) -> BundleOverCurve:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def child_env() -> dict[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}

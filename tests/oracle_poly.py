@@ -4,6 +4,7 @@
 ``sampled_stable_poly`` feeds it sampled margins, independently of the
 closed form that ``relci.invariants.stable_margin_poly`` builds from the
 moments of the subset tables, and the tests hold the two equal.
+``horner`` evaluates a ``RatPoly`` exactly, which the library never needs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from relci import InputError, Rat, RatPoly, RelativeCI, positivity_margin
+
+
+def horner(poly: RatPoly, x: Rat | int) -> Fraction:
+    """The exact value of ``poly`` at ``x``."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def interpolate(samples: Sequence[tuple[Rat | int, Rat | int]]) -> RatPoly:

@@ -399,7 +399,7 @@ def test_criterion_10_contact_propagation():
     assert ok, f"{counterexamples} counterexamples"
 
 
-def test_criterion_11_deterministic_reports(tmp_path):
+def test_criterion_11_deterministic_reports(tmp_path, child_env):
     instance = {
         "bundle": {"rank": 4, "degree": 4, "base_genus": 0, "split": [1, 1, 1, 1]},
         "ci": {"k": [3, 3], "y": [1, 2]},
@@ -410,6 +410,7 @@ def test_criterion_11_deterministic_reports(tmp_path):
     for _ in range(3):
         proc = subprocess.run(
             [sys.executable, "-m", "relci.cli", "verdict", "-i", str(path)],
+            env=child_env,
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci import BundleOverCurve, RelativeCI, cross_check, exact, invariants, oracles
+from relci import BundleOverCurve, RelativeCI, cross_check, exact, invariants, oracles, verdicts
 from relci.bundles import split_hn_blocks
 from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_TWIST, instance_from_json, instance_to_json, main
 
@@ -137,11 +137,12 @@ class TestVerdictCommand:
         _, out, _ = run_main(capsys, "verdict", "-i", worked_file)
         assert json.loads(out)["command"] == "verdict"
 
-    def test_determinism_three_runs(self, worked_file):
+    def test_determinism_three_runs(self, worked_file, child_env):
         outs = set()
         for _ in range(3):
             proc = subprocess.run(
                 [sys.executable, "-m", "relci.cli", "verdict", "-i", worked_file],
+                env=child_env,
                 capture_output=True,
             )
             assert proc.returncode == 0
@@ -409,6 +410,35 @@ class TestEachTwistOnce:
         # the instance as an instance file reads it back, not its repr
         echo = instance_to_json(instance_from_json(WORKED))
         assert err.endswith(f" for instance {json.dumps(echo)}\n")
+
+
+class TestExit3NamesTheInstance:
+    """An exit 3 ends with the instance the run loaded, whichever module raised."""
+
+    @staticmethod
+    def echo_of(name):
+        return instance_to_json(instance_from_json(json.loads((DEMOS / "instances" / name).read_text())))
+
+    def test_verdict_report_with_a_conclusion_past_a_failed_gate(self, capsys, monkeypatch):
+        # no_hn.json fails the Slope gates, so its 'Undetermined' must count as a conclusion
+        monkeypatch.setattr(verdicts, "_NO_CONCLUSION", ())
+        code, out, err = run_main(capsys, "verdict", "-i", str(DEMOS / "instances" / "no_hn.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: verdict 'Slope' concluded 'Undetermined'")
+        assert err.endswith(f" for instance {json.dumps(self.echo_of('no_hn.json'))}\n")
+
+    def test_oracle_chow_contraction(self, capsys, monkeypatch):
+        true_contract = oracles.ChowClass.contract
+
+        def one_rank_off(self, bundle_degree, rank):
+            return true_contract(self, bundle_degree, rank + 1)
+
+        monkeypatch.setattr(oracles.ChowClass, "contract", one_rank_off)
+        code, out, err = run_main(capsys, "oracle", "-i", str(DEMOS / "instances" / "worked.json"),
+                                  "--h-max", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: contracting degree 4, expected 5")
+        assert err.endswith(f" for instance {json.dumps(self.echo_of('worked.json'))}\n")
 
 
 @st.composite

@@ -1,6 +1,5 @@
 """Smoke test: every narrative demo runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +11,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_0(script, tmp_path):
+def test_demo_exits_0(script, tmp_path, child_env):
     # a temporary working directory: cone_gallery.py writes its SVG there
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -7,7 +7,9 @@ which re-exports each module's ``__all__``, and only from modules that
 define one.  No module imports another module's private
 (underscore-prefixed) names or reads a private attribute it does not
 define itself.  Only the front end ``cli`` depends on ``cli``: no other
-module imports it, at any depth of its source.
+module imports it, at any depth of its source.  ``InternalCheckError``
+carries its message alone: the front end names the instance of an exit 3,
+so no module passes one to the exception or reads one off it.
 """
 
 import ast
@@ -125,3 +127,24 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 def test_only_the_front_end_imports_cli(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert "relci.cli" not in _imported_modules(tree), f"{path.name} imports relci.cli"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_internal_check_errors_carry_only_a_message(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    extra = [
+        f"InternalCheckError: {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "InternalCheckError"
+        and len(node.args) + len(node.keywords) != 1
+    ]
+    caught = {node.name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.name}
+    read = [
+        f"{node.value.id}.instance: {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "instance"
+        and isinstance(node.value, ast.Name) and node.value.id in caught
+    ]
+    assert extra + read == [], f"{path.name} passes an instance with an internal check error or reads one"

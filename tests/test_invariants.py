@@ -184,9 +184,8 @@ class TestMarginRuns:
         X = plain(4, 4, (3, 3), (1, 2))
         pf = pushforward(X, 6)
         X._memo[6] = PushforwardSummary(6, pf.rank, pf.degree + 1)
-        with pytest.raises(InternalCheckError, match=r"at h=6: ") as failure:
+        with pytest.raises(InternalCheckError, match=r"at h=6: "):
             positivity_margins(X, 6)
-        assert failure.value.instance is X
 
 
 class TestStablePoly:
