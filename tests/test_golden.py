@@ -6,14 +6,17 @@ instances that reach each per-instance decision the reports depend on
 profile, the balanced canonical gate, the instability excess, eventual
 signs that disagree with alpha), the ``example`` family in both
 orientations, and split lists that do not fit the rest of the bundle
-(exit 2, each message naming the first inconsistency in file order).
-``--help`` is left out: argparse wraps it to the terminal.
+(exit 2, each message naming the first inconsistency in file order),
+and ``sweep`` on the three benchmark ladder rungs.  A ladder report is
+pinned by the byte length and sha256 of its stdout, since rung W's runs
+to 276 KB.  ``--help`` is left out: argparse wraps it to the terminal.
 
 Regenerate the expected file only after a deliberate report change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -72,6 +75,13 @@ INVALID_SPLITS = {
     "split_empty": _instance(4, 0, [3], [1], split=[]),
 }
 
+# the ladder of perfbench/workloads.py, hypersurfaces in their unshuffled order
+LADDER = {
+    "W": (_instance(4, 4, [3, 3], [1, 2], split=[1, 1, 1, 1]), 5000),
+    "M": (_instance(30, 17, range(2, 22), range(-10, 10)), 400),
+    "L": (_instance(80, 17, range(2, 42), range(-20, 20)), 100),
+}
+
 EXAMPLES = [(1, 4, 2, 2), (2, 5, 3, 1), (1, 3, 1, 1), (3, 6, 2, 3), (2, 3, 1, 2), (0, 4, 2, 1)]
 
 
@@ -94,6 +104,9 @@ def _cases():
     for name, doc in INVALID_SPLITS.items():
         for argv in (["verdict"], ["oracle", "--h-max", "3"]):
             out.append((f"{name} {' '.join(argv)}", argv, doc))
+    for name, (doc, h_max) in LADDER.items():
+        argv = ["sweep", "--h-max", str(h_max)]
+        out.append((f"ladder_{name} {' '.join(argv)}", argv, doc))
     for a, r, c, m in EXAMPLES:
         for orientation in ("as-written", "swapped"):
             argv = ["example", "--a", str(a), "--r", str(r), "--c", str(c), "--m", str(m),
@@ -105,7 +118,7 @@ def _cases():
 CASES = _cases()
 
 
-def run_case(argv, doc, workdir):
+def run_case(argv, doc, workdir, digest=False):
     if doc is not None:
         path = Path(workdir) / "instance.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -113,7 +126,12 @@ def run_case(argv, doc, workdir):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    got = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if digest:
+        stdout = got.pop("stdout").encode("utf-8")
+        got["stdout_bytes"] = len(stdout)
+        got["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +145,14 @@ def test_case_ids_match(golden):
 
 @pytest.mark.parametrize("case_id, argv, doc", CASES, ids=[case_id for case_id, _, _ in CASES])
 def test_report(golden, tmp_path, case_id, argv, doc):
-    assert run_case(argv, doc, tmp_path) == golden[case_id]
+    assert run_case(argv, doc, tmp_path, case_id.startswith("ladder_")) == golden[case_id]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        got = {case_id: run_case(argv, doc, tmp) for case_id, argv, doc in CASES}
+        got = {case_id: run_case(argv, doc, tmp, case_id.startswith("ladder_"))
+               for case_id, argv, doc in CASES}
     GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(got)} cases to {GOLDEN}", file=sys.stderr)
