@@ -78,10 +78,13 @@ _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
 def _enc(value: Any) -> Any:
     """Encode report values: every number becomes a decimal string.
 
-    Exact types are tested first, since reports are mostly dicts, lists
-    and numbers; bool, str, str-Enums and None then pass through as is.
+    Exact types are tested first, since reports are mostly strings (every
+    margin row carries a sign word), dicts, lists and numbers; bool,
+    str-Enums and None then pass through as is.
     """
     kind = type(value)
+    if kind is str:
+        return value
     if kind is dict:
         return {str(k): _enc(v) for k, v in value.items()}
     if kind is list or kind is tuple:
@@ -94,7 +97,7 @@ def _enc(value: Any) -> Any:
                 f"a reported number has more than {sys.get_int_max_str_digits()} digits, "
                 f"the interpreter's limit for decimal output"
             ) from exc
-    if isinstance(value, (bool, str)) or value is None:
+    if isinstance(value, (bool, str)) or value is None:  # str subclasses: str-Enums
         return value
     raise TypeError(f"cannot encode {value!r} in a report")
 
@@ -218,18 +221,15 @@ def _report(command: str, inp: Any, result: Any, warnings: list[str]) -> dict:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    sys.stdout.write(json.dumps(report, sort_keys=True, **layout) + "\n")
 
 
 # ---------------------------------------------------------------- commands
 #
-# A command on an instance file takes the instance ``main`` loaded and
-# returns the result of its report; ``main`` adds the echo and warnings.
-# ``contact`` and ``example`` read their own input and return (echo, result).
+# A command returns the result of its report; ``main`` adds the echo (the
+# instance it loaded, or the flags of ``example``) and the warnings.
+# ``contact`` reads its own input and returns (echo, result).
 
 
 def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -381,16 +381,9 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict]:
     return echo, result
 
 
-def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict]:
+def _cmd_example(args: argparse.Namespace) -> dict:
     bundle, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
-    echo = {
-        "a": args.a,
-        "r": args.r,
-        "c": args.c,
-        "m": args.m,
-        "orientation": args.orientation,
-    }
-    result = {
+    return {
         "bundle": {
             "rank": bundle.rank,
             "degree": bundle.degree,
@@ -399,7 +392,6 @@ def _cmd_example(args: argparse.Namespace) -> tuple[Any, dict]:
         "ci": {"k": list(X.k), "y": list(X.y)},
         "verdict": _verdict_dict(report),
     }
-    return echo, result
 
 
 # ------------------------------------------------------------------ parser
@@ -483,11 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    X = None
+    echo, warnings = None, []  # an exit 3 names the echo: the instance, or example's flags
     try:
-        if args.command in ("contact", "example"):
+        if args.command == "contact":
             echo, result = args.func(args)
-            warnings = []
+        elif args.command == "example":
+            echo = {name: getattr(args, name) for name in ("a", "r", "c", "m", "orientation")}
+            result = args.func(args)
         else:
             if args.command == "invariants" and args.h > MAX_TWIST:
                 raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
@@ -503,8 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalCheckError as exc:
         message = f"relci: internal check failed: {exc}"
-        if X is not None:
-            message += f" for instance {json.dumps(instance_to_json(X))}"
+        if echo is not None:
+            noun = "flags" if args.command == "example" else "instance"
+            message += f" for {noun} {json.dumps(echo)}"
         print(message, file=sys.stderr)
         return 3
     _emit(report, args.pretty)

@@ -13,13 +13,10 @@ Everything here is an exact integer or rational identity in the data
 
 * top self-intersection of the tautological class on X and on F;
 * rank and degree of the pushforward of O_X(h), together from one
-  alternating Koszul sum over index subsets (``pushforward``, evaluated
-  once per instance and twist and memoised on the instance; the degree
-  carries a global /r that always cancels, and this is asserted on
-  every evaluation);
-* runs of margins h = 1..H (``positivity_margins``), whose pushforwards
-  come from running sums of the subset tables instead of one Koszul
-  sum per twist; the last twist of each run is held to its direct sum;
+  alternating Koszul sum over index subsets (``pushforward``; its global
+  /r always cancels, asserted), or for a run h = 0..H of twists
+  (``positivity_margins``) from running sums of the subset tables, the
+  run's last twist held to its direct sum; memoised on the instance;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -159,10 +156,9 @@ class RelativeCI:
 
     @cached_property
     def _memo(self) -> dict:
-        """Pushforwards by twist and the stable margin polynomial, once per instance.
-
-        Not a field, so ``==`` and ``hash`` ignore it."""
-        return {}
+        """Pushforwards by twist, the longest run and the stable polynomial, per
+        instance; not a field, so ``==`` and ``hash`` ignore it."""
+        return {"run": ((), ())}
 
 
 @dataclass(frozen=True)
@@ -222,15 +218,17 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     weights it by ((h - k_I) * d + y_I * r) / r.  One binomial per level
     feeds both.  The global /r of the degree always cancels in the
     total; a non-integral result would mean a transcribed-formula bug
-    and aborts hard.  This direct sum serves lone twists; a run of
-    twists fills the same memo through ``positivity_margins``.
+    and aborts hard.  This direct sum serves lone twists; a twist inside
+    the longest run of ``positivity_margins`` so far is read off that run.
     """
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {h}")
     memo = X._memo
     pf = memo.get(h)
     if pf is None:
-        pf = memo[h] = _koszul_sum(X, h)
+        ranks, degrees = memo["run"]
+        pf = PushforwardSummary(h, ranks[h], degrees[h]) if h < len(ranks) else _koszul_sum(X, h)
+        memo[h] = pf
     return pf
 
 
@@ -269,9 +267,11 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
     pf = pushforward(X, h)
-    n = X.dim
-    cleared = h**n * h_top(X) * pf.rank - n * h ** (n - 1) * fibre_deg(X) * pf.degree
-    return PositivityReport(h, cleared, pf.rank)
+    return _margin(h, pf.rank, pf.degree, X.dim, h_top(X), fibre_deg(X))
+
+
+def _margin(h: int, rank: int, degree: int, n: int, top: int, fib: int) -> PositivityReport:
+    return PositivityReport(h, h ** (n - 1) * (h * top * rank - n * fib * degree), rank)
 
 
 def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...]:
@@ -281,30 +281,35 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...
     running sums of cnt give every rank up to h_max.  Since
     (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is
     d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
-    Additions only, no binomials.  The run fills the memo of
-    ``pushforward`` for h = 0..h_max, keeping entries already there, so
-    each margin is the one ``positivity_margin`` reports.  The last twist
-    is held to its direct Koszul sum (or its memoised value), which also
-    asserts degree integrality; a mismatch aborts hard.
+    Additions only, and no object per twist but its report.  The memo
+    keeps the longest run, which shorter runs and ``pushforward`` read
+    off.  A longer run is built, its last twist held to the direct Koszul
+    sum (or its memoised value), which also asserts degree integrality; a
+    mismatch aborts hard.  Memoised twists keep their entries and the run
+    takes them over, so each margin is the one ``positivity_margin`` reports.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {h_max}")
-    # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
-    ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
-    for _ in range(X.rank):
-        ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
-    degrees = [X.degree * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
     memo = X._memo
-    last = memo.get(h_max) or _koszul_sum(X, h_max)
-    if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
-        raise InternalCheckError(
-            f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
-            f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}"
-        )
-    for h, (rank, degree) in enumerate(zip(ranks, degrees)):
-        if h not in memo:
-            memo[h] = PushforwardSummary(h, rank, degree)
-    return tuple(positivity_margin(X, h) for h in range(1, h_max + 1))
+    ranks, degrees = memo["run"]
+    if len(ranks) <= h_max:
+        # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
+        ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
+        for _ in range(X.rank):
+            ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
+        degrees = [X.degree * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
+        last = memo.get(h_max) or _koszul_sum(X, h_max)
+        if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
+            raise InternalCheckError(
+                f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
+                f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}"
+            )
+        for h, pf in list(memo.items()):  # a snapshot: other threads may add twists
+            if type(h) is int and h <= h_max:
+                ranks[h], degrees[h] = pf.rank, pf.degree
+        memo["run"] = ranks, degrees
+    n, top, fib = X.dim, h_top(X), fibre_deg(X)
+    return tuple(_margin(h, ranks[h], degrees[h], n, top, fib) for h in range(1, h_max + 1))
 
 
 def stable_margin_poly(X: RelativeCI) -> RatPoly:

@@ -413,7 +413,8 @@ class TestEachTwistOnce:
 
 
 class TestExit3NamesTheInstance:
-    """An exit 3 ends with the instance the run loaded, whichever module raised."""
+    """An exit 3 ends with the instance the run loaded, whichever module raised,
+    or with the flags of ``example``."""
 
     @staticmethod
     def echo_of(name):
@@ -439,6 +440,16 @@ class TestExit3NamesTheInstance:
         assert (code, out) == (3, "")
         assert err.startswith("relci: internal check failed: contracting degree 4, expected 5")
         assert err.endswith(f" for instance {json.dumps(self.echo_of('worked.json'))}\n")
+
+    def test_example_names_its_flags(self, capsys, monkeypatch):
+        # example reads no instance file, so its exit 3 ends with the flags it echoes
+        monkeypatch.setattr(verdicts, "_NO_CONCLUSION", ())
+        code, out, err = run_main(capsys, "example", "--a", "1", "--r", "4", "--c", "2", "--m", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: verdict 'ExampleFamily' concluded "
+                              "'Undetermined' with a failed hypothesis")
+        flags = {"a": 1, "r": 4, "c": 2, "m": 1, "orientation": "as-written"}
+        assert err.endswith(f" for flags {json.dumps(flags)}\n")
 
 
 @st.composite

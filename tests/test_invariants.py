@@ -176,6 +176,57 @@ class TestMarginRuns:
         positivity_margins(X, 9)
         assert all(pushforward(X, h) is pf for h, pf in zip((0, 4, 9), before))
 
+    @staticmethod
+    def count_sums(monkeypatch):
+        """Twists that reach the direct Koszul sum from here on, in call order."""
+        direct, seen = invariants._koszul_sum, []
+
+        def counted(X, h):
+            seen.append(h)
+            return direct(X, h)
+
+        monkeypatch.setattr(invariants, "_koszul_sum", counted)
+        return seen
+
+    @pytest.mark.parametrize("r, d, k, y, h_max", [
+        (4, 4, (3, 3), (1, 2), 40),
+        (30, 17, tuple(range(2, 22)), tuple(range(-10, 10)), 60),
+    ], ids=["W", "M"])
+    def test_run_serves_its_twists(self, monkeypatch, r, d, k, y, h_max):
+        X = plain(r, d, k, y)
+        positivity_margins(X, h_max)
+        direct = invariants._koszul_sum
+        seen = self.count_sums(monkeypatch)
+        for h in range(h_max + 1):
+            assert pushforward(X, h) == direct(plain(r, d, k, y), h)
+        assert seen == []
+        assert pushforward(X, h_max + 1) == direct(plain(r, d, k, y), h_max + 1)
+        assert seen == [h_max + 1]
+
+    # a run inside the memo's run reads it off; a longer one is built and
+    # held to the direct sum at its own last twist
+    @pytest.mark.parametrize("first, second, sums", [(60, 25, [60]), (25, 60, [25, 60])],
+                             ids=["shorter_after_longer", "longer_after_shorter"])
+    def test_second_run(self, monkeypatch, first, second, sums):
+        r, d, k, y = 30, 17, tuple(range(2, 22)), tuple(range(-10, 10))
+        direct = invariants._koszul_sum
+        X = plain(r, d, k, y)
+        seen = self.count_sums(monkeypatch)
+        positivity_margins(X, first)
+        run = positivity_margins(X, second)
+        pushforwards = [pushforward(X, h) for h in range(max(first, second) + 1)]
+        assert seen == sums
+        assert run == tuple(positivity_margin(plain(r, d, k, y), h) for h in range(1, second + 1))
+        assert pushforwards == [direct(plain(r, d, k, y), h) for h in range(max(first, second) + 1)]
+
+    def test_margins_use_memoised_twists(self):
+        # an entry inside the run, even a wrong one, is what the run and
+        # positivity_margin both read
+        X = plain(5, 3, (2, 3), (1, -1))
+        pf = pushforward(X, 4)
+        X._memo[4] = PushforwardSummary(4, pf.rank + 1, pf.degree)
+        assert positivity_margins(X, 9)[3] == positivity_margin(X, 4)
+
     def test_rejects_nonpositive_h_max(self):
         with pytest.raises(InputError):
             positivity_margins(WORKED, 0)
