@@ -32,7 +32,7 @@ for params in ((1, 4, 2, 2), (1, 3, 1, 1), (2, 5, 3, 1)):
     a, r, c, m = params
     bundle, X, report = build_example(a, r, c, m, Orientation.AS_WRITTEN)
     print(f"a={a} r={r} c={c} m={m} as-written: k={X.k[0]}, y={X.y[0]}")
-    for name, ok in report.hypotheses:
+    for name, ok in report.hypotheses.items():
         print(f"    {name}: {'ok' if ok else 'FAILS'}")
     print("    conclusion:", report.conclusion)
 
@@ -45,6 +45,6 @@ for params in ((1, 4, 2, 2), (1, 3, 1, 1), (2, 5, 3, 1)):
     a, r, c, m = params
     bundle, X, report = build_example(a, r, c, m, Orientation.SWAPPED)
     print(f"a={a} r={r} c={c} m={m} swapped: k={X.k[0]}, y={X.y[0]}")
-    for name, ok in report.hypotheses:
+    for name, ok in report.hypotheses.items():
         print(f"    {name}: {'ok' if ok else 'FAILS'}")
     print("    witnesses:", report.witnesses)

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .exact import Rat
 
 __all__ = [
     "BundleOverCurve",
@@ -52,14 +52,8 @@ def split_hn_blocks(line_degrees: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """
     if not line_degrees:
         raise InputError("split bundle needs at least one summand")
-    blocks: list[tuple[int, int]] = []
-    for a in sorted(line_degrees, reverse=True):
-        if blocks and Fraction(blocks[-1][1], blocks[-1][0]) == a:
-            r, d = blocks[-1]
-            blocks[-1] = (r + 1, d + a)
-        else:
-            blocks.append((1, a))
-    return tuple(blocks)
+    runs = [list(run) for _, run in groupby(sorted(line_degrees, reverse=True))]
+    return tuple((len(run), sum(run)) for run in runs)
 
 
 @dataclass(frozen=True)
@@ -97,11 +91,10 @@ class BundleOverCurve:
                 raise InputError("hn block ranks must sum to the bundle rank")
             if sum(d for _, d in hn) != self.degree:
                 raise InputError("hn block degrees must sum to the bundle degree")
+            # d/r is the rank-weighted mean of these, so it lies between the extremes
             slopes = [Fraction(d, r) for r, d in hn]
             if any(a <= b for a, b in zip(slopes, slopes[1:])):
                 raise InputError("hn block slopes must be strictly decreasing")
-            if not slopes[-1] <= self.slope <= slopes[0]:
-                raise InputError("bundle slope must lie between extreme hn slopes")
 
     @classmethod
     def semistable(cls, rank: int, degree: int, base_genus: int = 0) -> "BundleOverCurve":
@@ -159,8 +152,8 @@ class CycleClass:
     """A codimension-c numerical class p*H^c + q*H^(c-1)S."""
 
     codim: int
-    p: Rat
-    q: Rat
+    p: Fraction
+    q: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Fraction(self.p))

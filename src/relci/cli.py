@@ -29,7 +29,9 @@ Work is bounded before any table is built: ``ci.k`` sums to at most
 ``MAX_K_SUM``, ``bundle.rank`` is at most ``MAX_RANK``, ``invariants -h``
 and ``sweep --h-max`` are at most ``MAX_TWIST``, and ``oracle`` needs
 2^c * C(h_max + r, r) <= ``MAX_ORACLE_WORK`` (its brute force visits all
-2^c subsets at every twist).
+2^c subsets at every twist).  ``example`` takes ``--r`` up to ``MAX_RANK``
+and ``--a`` and ``--m`` up to ``MAX_K_SUM``.  The rationals of a ``contact``
+input are JSON integers or "p" / "p/q" strings of decimal digits.
 
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
 failure, 4 oracle mismatch.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -63,7 +66,7 @@ from .invariants import (
     pushforward,
 )
 from .oracles import cross_check
-from .verdicts import Orientation, VerdictReport, build_example, h_sweep
+from .verdicts import Orientation, build_example, h_sweep
 from .verdicts import asymptotic_verdict, instability_verdict, slope_verdict, small_h_verdict
 from .svg import cone_diagram
 
@@ -71,6 +74,15 @@ MAX_K_SUM = 10_000
 MAX_RANK = 200
 MAX_TWIST = 10_000
 MAX_ORACLE_WORK = 200_000
+
+# flags bounded before any work, by command: (flag, argparse dest, limit)
+_FLAG_LIMITS = {
+    "invariants": (("-h", "h", MAX_TWIST),),
+    "sweep": (("--h-max", "h_max", MAX_TWIST),),
+    "example": (("--r", "r", MAX_RANK), ("--a", "a", MAX_K_SUM), ("--m", "m", MAX_K_SUM)),
+}
+# no decimal point or exponent: the length of the text bounds the size of the number
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 _SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
 
@@ -103,10 +115,10 @@ def _enc(value: Any) -> Any:
 
 
 def _rat(value: Any, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if type(value) is not int and not (type(value) is str and _RATIONAL.fullmatch(value)):
         raise InputError(f"{field}: rationals must be integers or 'p/q' strings")
     try:
-        return Fraction(str(value))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{field}: not a rational: {value!r}") from exc
 
@@ -201,15 +213,6 @@ def _warnings(X: RelativeCI) -> list[str]:
     ]
 
 
-def _verdict_dict(v: VerdictReport) -> dict:
-    return {
-        "theorem": v.theorem,
-        "conclusion": v.conclusion,
-        "hypotheses": {name: ok for name, ok in v.hypotheses},
-        "witnesses": v.witnesses,
-    }
-
-
 def _report(command: str, inp: Any, result: Any, warnings: list[str]) -> dict:
     return {
         "command": command,
@@ -271,15 +274,13 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
         a = alpha_invariant(X)  # a positive multiple of c*mu - sum_i y_i/k_i
         cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
-    verdicts = {
-        "small_h": small_h_verdict(X),
-        "asymptotic": asymptotic_verdict(X),
-        "slope": slope_verdict(X),
-        "instability": instability_verdict(X),
+    return {
+        "small_h": vars(small_h_verdict(X)),
+        "asymptotic": vars(asymptotic_verdict(X)),
+        "slope": vars(slope_verdict(X)),
+        "instability": vars(instability_verdict(X)),
+        "cone": cone_part,
     }
-    result = {name: _verdict_dict(v) for name, v in verdicts.items()}
-    result["cone"] = cone_part
-    return result
 
 
 def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -390,7 +391,7 @@ def _cmd_example(args: argparse.Namespace) -> dict:
             "hn": [{"rank": r, "degree": d} for r, d in bundle.hn],
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
-        "verdict": _verdict_dict(report),
+        "verdict": vars(report),
     }
 
 
@@ -414,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"limits: the entries of ci.k in an instance file sum to at most "
                f"{MAX_K_SUM}; bundle.rank is at most {MAX_RANK}; "
                f"invariants -h and sweep --h-max are at most {MAX_TWIST}; oracle needs "
-               f"2^c * C(h_max + r, r) <= {MAX_ORACLE_WORK} (c entries in ci.k, r the rank)",
+               f"2^c * C(h_max + r, r) <= {MAX_ORACLE_WORK} (c entries in ci.k, r the rank); "
+               f"example --r is at most {MAX_RANK}; example --a and --m are at most {MAX_K_SUM}",
     )
     parser.add_argument("--version", action="version", version=f"relci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,10 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("example", add_help=False,
                         help="build and validate the candidate unstable family")
     _add_common(sp, instance=False)
-    sp.add_argument("--a", type=int, required=True, help="top line-bundle degree")
-    sp.add_argument("--r", type=int, required=True, help="bundle rank")
+    sp.add_argument("--a", type=int, required=True,
+                    help=f"top line-bundle degree (at most {MAX_K_SUM})")
+    sp.add_argument("--r", type=int, required=True, help=f"bundle rank (at most {MAX_RANK})")
     sp.add_argument("--c", type=int, required=True, help="codimension")
-    sp.add_argument("--m", type=int, required=True, help="system multiplier")
+    sp.add_argument("--m", type=int, required=True,
+                    help=f"system multiplier (at most {MAX_K_SUM})")
     sp.add_argument(
         "--orientation",
         choices=[o.value for o in Orientation],
@@ -477,16 +481,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     echo, warnings = None, []  # an exit 3 names the echo: the instance, or example's flags
     try:
+        for flag, dest, limit in _FLAG_LIMITS.get(args.command, ()):
+            if getattr(args, dest) > limit:
+                raise InputError(f"{flag} {getattr(args, dest)} is above the limit {limit}")
         if args.command == "contact":
             echo, result = args.func(args)
         elif args.command == "example":
             echo = {name: getattr(args, name) for name in ("a", "r", "c", "m", "orientation")}
             result = args.func(args)
         else:
-            if args.command == "invariants" and args.h > MAX_TWIST:
-                raise InputError(f"-h {args.h} is above the limit {MAX_TWIST}")
-            if args.command == "sweep" and args.h_max > MAX_TWIST:
-                raise InputError(f"--h-max {args.h_max} is above the limit {MAX_TWIST}")
             X = instance_from_json(_read_json(args.instance))
             echo = instance_to_json(X)
             result = args.func(X, args)

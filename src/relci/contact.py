@@ -26,7 +26,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import Rat
 
 __all__ = [
     "ContactInstance",
@@ -45,7 +44,7 @@ class ContactInstance:
     ambient_n: int
     dim: int
     deg: int
-    e_f: Rat
+    e_f: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e_f", Fraction(self.e_f))
@@ -59,7 +58,7 @@ class ContactInstance:
 class WeightFiltration:
     """Nonnegative weights r_0..r_n of a one-parameter subgroup, not all zero."""
 
-    weights: tuple[Rat, ...]
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))

@@ -1,7 +1,9 @@
 """Exact combinatorial and polynomial kernel.
 
 Everything downstream reduces to three ingredients, all computed over
-arbitrary-precision integers and ``fractions.Fraction`` (aliased ``Rat``):
+arbitrary-precision integers and ``fractions.Fraction``, the one rational
+type of the package (stdlib Fractions are exact, always stored reduced,
+with a positive denominator):
 
 * truncated binomial coefficients, with the convention ``C(n, m) = 0``
   whenever ``n < m`` (including every negative ``n``);
@@ -20,12 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 
-# All rational quantities in the package are stdlib Fractions: exact,
-# always stored reduced, with positive denominator.
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "binom_trunc",
     "signed_subset_tables",
     "RatPoly",
@@ -100,7 +97,7 @@ class RatPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rat | int]) -> None:
+    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()

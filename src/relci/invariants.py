@@ -50,7 +50,7 @@ from math import factorial, prod
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError
-from .exact import Rat, RatPoly, binom_trunc, signed_subset_tables
+from .exact import RatPoly, binom_trunc, signed_subset_tables
 
 __all__ = [
     "RelativeCI",
@@ -430,14 +430,14 @@ def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     h = k_sum - r (the geometric genus of a fibre) and the degree picks
     up -(y_sum - d) times that rank.  Needs k_sum > r.
     """
-    h0 = X.k_sum - X.rank
-    if h0 <= 0:
+    kc = canonical_class(X)
+    if not kc.general_type_fibres:
         raise HypothesisError(
             f"relative canonical class is not ample in the needed sense: "
             f"k_sum = {X.k_sum} <= rank = {X.rank}"
         )
-    pf = pushforward(X, h0)
-    return PushforwardSummary(pf.h, pf.rank, pf.degree - (X.y_sum - X.degree) * pf.rank)
+    pf = pushforward(X, kc.h_coeff)
+    return PushforwardSummary(pf.h, pf.rank, pf.degree - kc.fibre_coeff * pf.rank)
 
 
 def canonical_margin(X: RelativeCI) -> PositivityReport:
@@ -507,7 +507,7 @@ class SurfaceFormulaReport:
     """
 
     kf2_formula: int
-    deg_omega_formula: Rat
+    deg_omega_formula: Fraction
     ratio_holds: bool
     matches_top_power: bool
     matches_pushforward: bool

@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import InputError, InternalCheckError
-from .exact import Rat, binom_trunc
+from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
     canonical_top_power,
@@ -115,7 +115,7 @@ class ChowClass:
 
     __slots__ = ("codim", "u", "v")
 
-    def __init__(self, codim: int, u: Rat | int, v: Rat | int) -> None:
+    def __init__(self, codim: int, u: Fraction | int, v: Fraction | int) -> None:
         if codim < 1:
             raise InputError("graded pieces start in degree 1")
         self.codim = codim
@@ -200,11 +200,13 @@ def cross_check(X: RelativeCI, h_max: int) -> tuple[dict[str, int], list[dict]]:
     against ``chow_expand``.  Returns the number of comparisons per
     suite and one entry per disagreement (empty when all agree).
     """
+    if h_max < 0:
+        raise InputError(f"h_max must be >= 0, got {h_max}")
     r, d = X.rank, X.degree
     checks = {"sym_closed_form": 0, "koszul_vs_degree": 0, "hilbert_vs_rank": 0, "chow_vs_closed_forms": 0}
     mismatches: list[dict] = []
 
-    def compare(suite: str, brute: Rat, closed: Rat, **where: object) -> None:
+    def compare(suite: str, brute: Fraction, closed: Fraction, **where: object) -> None:
         checks[suite] += 1
         if brute != closed:
             mismatches.append({"suite": suite, **where, "brute": brute, "closed": closed})

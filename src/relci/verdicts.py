@@ -61,15 +61,18 @@ _EVENTUAL_LABEL = {1: "StrictlyFPositiveEventually", -1: "NotFPositiveEventually
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """A theorem-level conclusion with its gates and exact witnesses."""
+    """A theorem-level conclusion with its gates (name to flag) and exact witnesses.
+
+    Its fields are the report that ``relci verdict`` and ``relci example`` print.
+    """
 
     theorem: str
-    hypotheses: tuple[tuple[str, bool], ...]
+    hypotheses: dict[str, bool]
     conclusion: str
     witnesses: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if any(not ok for _, ok in self.hypotheses) and self.conclusion not in _NO_CONCLUSION:
+        if not self.hypotheses_ok and self.conclusion not in _NO_CONCLUSION:
             raise InternalCheckError(
                 f"verdict {self.theorem!r} concluded {self.conclusion!r} "
                 f"with a failed hypothesis"
@@ -77,7 +80,7 @@ class VerdictReport:
 
     @property
     def hypotheses_ok(self) -> bool:
-        return all(ok for _, ok in self.hypotheses)
+        return all(self.hypotheses.values())
 
 
 def small_h_verdict(X: RelativeCI) -> VerdictReport:
@@ -107,7 +110,7 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
         )
     return VerdictReport(
         theorem="SmallH",
-        hypotheses=(),
+        hypotheses={},
         conclusion="FPositiveAllSmallH" if by_alpha else "NotFPositiveSmallH",
         witnesses={
             "alpha": a,
@@ -134,7 +137,7 @@ def asymptotic_verdict(X: RelativeCI) -> VerdictReport:
     sign = (lead > 0) - (lead < 0)
     return VerdictReport(
         theorem="Asymptotic",
-        hypotheses=(),
+        hypotheses={},
         conclusion=_EVENTUAL_LABEL[sign],
         witnesses={
             "alpha": a,
@@ -154,17 +157,17 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     canonical margin, and mu(E) >= y_sum / (c*k).  They are evaluated
     independently and must coincide.
     """
-    gates = (
-        ("balanced", X.balanced),
-        ("degree_above_one", min(X.k) > 1),
-        ("canonical_relatively_ample", X.balanced and canonical_class(X).general_type_fibres),
-    )
-    if not all(ok for _, ok in gates):
+    gates = {
+        "balanced": X.balanced,
+        "degree_above_one": min(X.k) > 1,
+        "canonical_relatively_ample": X.balanced and canonical_class(X).general_type_fibres,
+    }
+    if not all(gates.values()):
         return VerdictReport(
             theorem="Slope",
             hypotheses=gates,
             conclusion="Undetermined",
-            witnesses={"failed": tuple(name for name, ok in gates if not ok)},
+            witnesses={"failed": tuple(name for name, ok in gates.items() if not ok)},
         )
     ratio = Fraction(X.y_sum, X.k_sum)
     kf = canonical_top_power(X)
@@ -205,7 +208,7 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
     if alpha_invariant(X) >= 0:
         return VerdictReport(
             theorem="Instability",
-            hypotheses=(("ratio_exceeds_bridge", False),),
+            hypotheses={"ratio_exceeds_bridge": False},
             conclusion="NoConclusion",
             witnesses=witnesses,
         )
@@ -214,7 +217,7 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
     witnesses["unstable_dualizing"] = X.balanced and canonical_class(X).general_type_fibres
     return VerdictReport(
         theorem="Instability",
-        hypotheses=(("ratio_exceeds_bridge", True),),
+        hypotheses={"ratio_exceeds_bridge": True},
         conclusion="ChowUnstableFibres",
         witnesses=witnesses,
     )
@@ -259,16 +262,16 @@ def build_example(
     k, y = (big, small) if orientation is Orientation.AS_WRITTEN else (small, big)
     X = RelativeCI(bundle, (k,) * c, (y,) * c)
     ratio = Fraction(y, k)
-    mu2 = Fraction(a - 1)
-    checks = (
-        ("effective", mn_divisor_test(bundle, k, y).pseff),
-        ("base_locus_on_section", ratio > mu2),
-        ("instability_excess", alpha_invariant(X) < 0),
-    )
+    mu2 = bundle.mu_last
+    checks = {
+        "effective": mn_divisor_test(bundle, k, y).pseff,
+        "base_locus_on_section": ratio > mu2,
+        "instability_excess": alpha_invariant(X) < 0,
+    }
     report = VerdictReport(
         theorem="ExampleFamily",
         hypotheses=checks,
-        conclusion="UnstableFamily" if all(ok for _, ok in checks) else "Undetermined",
+        conclusion="UnstableFamily" if all(checks.values()) else "Undetermined",
         witnesses={
             "k": k,
             "y": y,

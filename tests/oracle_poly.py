@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from relci import InputError, Rat, RatPoly, RelativeCI, positivity_margin
+from relci import InputError, RatPoly, RelativeCI, positivity_margin
 
 
-def horner(poly: RatPoly, x: Rat | int) -> Fraction:
+def horner(poly: RatPoly, x: Fraction | int) -> Fraction:
     """The exact value of ``poly`` at ``x``."""
     acc = Fraction(0)
     for c in reversed(poly.coeffs):
@@ -23,7 +23,7 @@ def horner(poly: RatPoly, x: Rat | int) -> Fraction:
     return acc
 
 
-def interpolate(samples: Sequence[tuple[Rat | int, Rat | int]]) -> RatPoly:
+def interpolate(samples: Sequence[tuple[Fraction | int, Fraction | int]]) -> RatPoly:
     """Exact polynomial through the given (x, y) samples.
 
     Newton's divided differences over Fractions; the result is the

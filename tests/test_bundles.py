@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from relci import (
     BundleOverCurve,
@@ -41,6 +42,18 @@ class TestBundleValidation:
             BundleOverCurve(4, 4, hn=((2, 2), (2, 2)))
         with pytest.raises(InputError):
             BundleOverCurve(4, 4, hn=((2, 1), (2, 3)))
+
+    # the block sums and strictly decreasing slopes bound the bundle slope by the extremes
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(-20, 20)), min_size=1, max_size=5),
+           st.booleans())
+    def test_accepted_hn_brackets_the_slope(self, blocks, by_slope):
+        if by_slope:
+            blocks.sort(key=lambda b: Fraction(b[1], b[0]), reverse=True)
+        try:
+            bundle = BundleOverCurve(sum(r for r, _ in blocks), sum(d for _, d in blocks), hn=blocks)
+        except InputError:
+            return
+        assert bundle.mu_last <= bundle.slope <= bundle.mu_first
 
     def test_split_grouping(self):
         assert SPLIT_210.hn == ((1, 2), (1, 1), (1, 0))

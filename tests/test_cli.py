@@ -2,9 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -13,7 +15,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relci import BundleOverCurve, RelativeCI, cross_check, exact, invariants, oracles, verdicts
 from relci.bundles import split_hn_blocks
-from relci.cli import MAX_K_SUM, MAX_ORACLE_WORK, MAX_RANK, MAX_TWIST, instance_from_json, instance_to_json, main
+from relci.cli import (
+    _FLAG_LIMITS,
+    MAX_K_SUM,
+    MAX_ORACLE_WORK,
+    MAX_RANK,
+    MAX_TWIST,
+    instance_from_json,
+    instance_to_json,
+    main,
+)
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -218,6 +229,12 @@ class TestOracleCommand:
         assert res["status"] == "all 4 oracle suites passed"
         assert res["mismatches"] == []
 
+    def test_negative_h_max_exits_2(self, capsys, worked_file):
+        # three of the four suites would make 0 comparisons and still read "passed"
+        code, out, err = run_main(capsys, "oracle", "-i", worked_file, "--h-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "relci: invalid input: h_max must be >= 0, got -1\n"
+
     def test_requires_split(self, capsys, tmp_path):
         inst = {
             "bundle": {"rank": 4, "degree": 4, "hn": [{"rank": 4, "degree": 4}]},
@@ -255,6 +272,35 @@ class TestContactCommand:
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, _ = run_main(capsys, "contact", "-i", str(path))
         assert code == 2
+
+    # an exponent grows the number without bound; a decimal point is no 'p/q' either
+    @pytest.mark.parametrize("e_f", ["1e10000000", "1e3", "0.5", " 1/2", "1_0", "1/-2", "+-1"])
+    def test_only_integers_and_p_over_q(self, capsys, tmp_path, e_f):
+        payload = {
+            "weights": ["1", "1", "1", "1"],
+            "y": {"dim": 1, "deg": 2, "e_f": e_f},
+            "z": {"dim": 2, "deg": 3, "e_f": "6"},
+        }
+        path = tmp_path / "contact.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "contact", "-i", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "relci: invalid input: y.e_f: rationals must be integers or 'p/q' strings\n"
+
+    @pytest.mark.parametrize("e_f, value", [(-3, "-3"), ("+12", "12"), ("-6/4", "-3/2"), ("0/7", "0")])
+    def test_signed_integers_and_p_over_q(self, capsys, tmp_path, e_f, value):
+        payload = {
+            "weights": ["1", "1", "1", "1"],
+            "y": {"dim": 1, "deg": 2, "e_f": e_f},
+            "z": {"dim": 2, "deg": 3, "e_f": "6"},
+        }
+        path = tmp_path / "contact.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run_main(capsys, "contact", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["input"]["y"]["e_f"] == value
 
     def test_reads_stdin(self, capsys, monkeypatch):
         payload = {
@@ -441,6 +487,46 @@ class TestExit3NamesTheInstance:
         assert err.startswith("relci: internal check failed: contracting degree 4, expected 5")
         assert err.endswith(f" for instance {json.dumps(self.echo_of('worked.json'))}\n")
 
+    def assert_exit_3(self, capsys, name, argv, prefix):
+        code, out, err = run_main(capsys, *argv, "-i", str(DEMOS / "instances" / name))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"relci: internal check failed: {prefix}")
+        assert err.endswith(f" for instance {json.dumps(self.echo_of(name))}\n")
+
+    def test_koszul_degree_integrality(self, capsys, monkeypatch):
+        # no_hn.json: r = 5, d = 7; at h = 1 one more in the s = 0 binomial adds d = 7 to r * deg
+        monkeypatch.setattr(invariants, "binom_trunc", lambda n, m: exact.binom_trunc(n, m) + 1)
+        self.assert_exit_3(capsys, "no_hn.json", ["invariants", "-h", "1"],
+                           "pushforward degree not integral: 42/5 at h=1")
+
+    def test_canonical_margin_two_ways(self, capsys, monkeypatch):
+        # only the direct route reads the top power through invariants
+        true_top = invariants.canonical_top_power
+        monkeypatch.setattr(invariants, "canonical_top_power", lambda X: true_top(X) + 1)
+        self.assert_exit_3(capsys, "worked.json", ["verdict"], "canonical margin mismatch: direct ")
+
+    def test_small_twist_three_ways(self, capsys, monkeypatch):
+        # worked.json has alpha 36; the ratio and the margins still say nonnegative
+        monkeypatch.setattr(verdicts, "alpha_invariant", lambda X: -1)
+        self.assert_exit_3(capsys, "worked.json", ["verdict"],
+                           "small-twist equivalence broke: alpha -1, ratio 1 vs 2, margins ")
+
+    def test_slope_three_ways(self, capsys, monkeypatch):
+        # the canonical margin keeps its own top power, so it still agrees with the criterion
+        monkeypatch.setattr(verdicts, "canonical_top_power", lambda X: -1)
+        self.assert_exit_3(capsys, "worked.json", ["verdict"],
+                           "slope equivalence broke: kf_top -1, margin ")
+
+    def test_oracle_chow_integrality(self, capsys, monkeypatch):
+        true_contract = oracles.ChowClass.contract
+
+        def half_off(self, bundle_degree, rank):
+            return true_contract(self, bundle_degree, rank) + Fraction(1, 2)
+
+        monkeypatch.setattr(oracles.ChowClass, "contract", half_off)
+        self.assert_exit_3(capsys, "worked.json", ["oracle", "--h-max", "3"],
+                           "expected integer intersection number, got ")
+
     def test_example_names_its_flags(self, capsys, monkeypatch):
         # example reads no instance file, so its exit 3 ends with the flags it echoes
         monkeypatch.setattr(verdicts, "_NO_CONCLUSION", ())
@@ -570,6 +656,41 @@ class TestWorkLimits:
         with pytest.raises(AssertionError, match=f"h_max {h_max}$"):
             main(["oracle", "-i", worked_file, "--h-max", str(h_max)])
         self.assert_rejected(capsys, "oracle", "-i", worked_file, "--h-max", str(h_max + 1))
+
+
+    @pytest.mark.parametrize("flag, limit", [("--r", MAX_RANK), ("--a", MAX_K_SUM), ("--m", MAX_K_SUM)])
+    def test_example(self, capsys, monkeypatch, flag, limit):
+        def refuse(*args):
+            raise AssertionError("the example family was built")
+
+        bounds = {"--a": MAX_K_SUM, "--r": MAX_RANK, "--c": MAX_RANK - 2, "--m": MAX_K_SUM}
+        for orientation in ("as-written", "swapped"):  # at the bounds it runs
+            code, out, _ = run_main(capsys, "example", *self.flags(bounds), "--orientation", orientation)
+            assert code == 0 and json.loads(out)["result"]["bundle"]["rank"] == str(MAX_RANK)
+        rebind(monkeypatch, verdicts.build_example, refuse)
+        self.assert_rejected(capsys, "example", *self.flags({**bounds, flag: limit + 1}))
+
+    @staticmethod
+    def flags(values):
+        return [word for flag, value in values.items() for word in (flag, str(value))]
+
+
+class TestDocumentedLimits:
+    """``relci --help`` names every bounded input with the limit ``relci.cli`` enforces."""
+
+    BOUNDED = [(("ci.k",), MAX_K_SUM), (("bundle.rank",), MAX_RANK), (("oracle",), MAX_ORACLE_WORK)]
+    BOUNDED += [((command, flag), limit)
+                for command, limits in _FLAG_LIMITS.items() for flag, _, limit in limits]
+
+    @pytest.mark.parametrize("words, limit", BOUNDED, ids=[" ".join(w) for w, _ in BOUNDED])
+    def test_epilog(self, capsys, monkeypatch, words, limit):
+        monkeypatch.setenv("COLUMNS", "1000")  # the epilog on one line
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        epilog = capsys.readouterr().out.strip().split("\n\n")[-1]
+        assert epilog.startswith("limits: ")
+        clause = next(c for c in epilog.split("; ") if all(w in c for w in words))
+        assert str(limit) in clause
 
 
 class TestUnwritableReports:

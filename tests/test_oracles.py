@@ -9,6 +9,7 @@ from relci import (
     canonical_top_power,
     chow_expand,
     ci_class,
+    cross_check,
     fibre_deg,
     h_top,
     hilbert_series_rank,
@@ -133,3 +134,15 @@ class TestChowExpand:
             assert s.kf_top == canonical_top_power(X)
             cls = ci_class(X)
             assert (s.ci_class.p, s.ci_class.q) == (cls.p, cls.q)
+
+
+class TestCrossCheck:
+    def test_negative_h_max_rejected(self):
+        # h_max = -1 would run the Chow suite alone and leave three suites at 0 comparisons
+        X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+        with pytest.raises(InputError, match="h_max must be >= 0, got -1"):
+            cross_check(X, -1)
+        checks, mismatches = cross_check(X, 0)
+        assert mismatches == []
+        assert checks == {"sym_closed_form": 7, "koszul_vs_degree": 1, "hilbert_vs_rank": 1,
+                          "chow_vs_closed_forms": 5}

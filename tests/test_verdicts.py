@@ -34,10 +34,10 @@ def plain(r, d, k, y):
 class TestReportGate:
     def test_conclusion_with_failed_hypothesis_rejected(self):
         with pytest.raises(InternalCheckError):
-            VerdictReport("X", (("gate", False),), "SomethingDefinite", {})
+            VerdictReport("X", {"gate": False}, "SomethingDefinite", {})
 
     def test_undetermined_allowed(self):
-        rep = VerdictReport("X", (("gate", False),), "Undetermined", {})
+        rep = VerdictReport("X", {"gate": False}, "Undetermined", {})
         assert not rep.hypotheses_ok
 
 
