@@ -50,13 +50,13 @@ print("ratio sum =", X.ratio_sum, " vs c*mu =", X.codim * X.bundle.slope)
 # Small twists behave as alpha promises...
 
 for h in (1,):
-    print("margin(1) =", positivity_margin(X, h).e_cleared, "(positive band)")
+    print("margin(1) =", positivity_margin(X, h), "(positive band)")
 
 # %%
 # ...but the margins turn negative and stay negative.
 
 sweep = h_sweep(X, 12)
-print("margins h=1..12:", [rep.e_cleared for rep in sweep.reports])
+print("margins h=1..12:", list(sweep.margins))
 print("stable polynomial:", sweep.stable_poly)
 print("sign constant from h >", sweep.sign_stable_from, " eventual sign:", sweep.eventual_sign)
 

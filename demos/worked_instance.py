@@ -62,8 +62,9 @@ for h in range(0, 5):
 # genus-10 fibre the margin at h = 2 is the slope-inequality margin.
 
 for h in range(1, 5):
-    rep = positivity_margin(X, h)
-    print(f"h = {h}: cleared = {rep.e_cleared}, normalised = {rep.e_rational}")
+    margin = positivity_margin(X, h)
+    normalised = Fraction(margin, pushforward(X, h).rank)
+    print(f"h = {h}: cleared = {margin}, normalised = {normalised}")
 
 # %%
 # The relative canonical class is 2 H_X + F here, ample on the fibres,
@@ -73,7 +74,7 @@ for h in range(1, 5):
 print("K_f coefficients:", canonical_class(X))
 print("K_f^2 =", canonical_top_power(X))          # 144
 print("f_* omega_f:", omega_pushforward(X))       # rank 10 = genus, degree 30
-print("slope margin:", canonical_margin(X).e_cleared)  # 360 >= 0
+print("slope margin:", canonical_margin(X))  # 360 >= 0
 
 # %%
 # X is a surface, balanced, with c*k = 6 > 4 = r, so the closed surface

@@ -84,7 +84,9 @@ _FLAG_LIMITS = {
 # no decimal point or exponent: the length of the text bounds the size of the number
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-_SIGN_WORD = {-1: "negative", 0: "zero", 1: "positive"}
+
+def _sign_word(value: Any) -> str:
+    return "positive" if value > 0 else "negative" if value < 0 else "zero"
 
 
 def _enc(value: Any) -> Any:
@@ -238,7 +240,6 @@ def _emit(report: dict, pretty: bool) -> None:
 def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
     h = args.h
     pf = pushforward(X, h)
-    rep = positivity_margin(X, h) if h >= 1 else None
     canon = canonical_class(X)
     result = {
         "h": h,
@@ -254,10 +255,11 @@ def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
         },
         "kf_top": canonical_top_power(X),
     }
-    if rep is not None:
-        result["e_cleared"] = rep.e_cleared
-        result["e_rational"] = rep.e_rational
-        result["sign"] = _SIGN_WORD[rep.sign]
+    if h >= 1:
+        margin = positivity_margin(X, h)
+        result["e_cleared"] = margin
+        result["e_rational"] = Fraction(margin, pf.rank)
+        result["sign"] = _sign_word(margin)
     return result
 
 
@@ -321,12 +323,12 @@ def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)
     return {
         "margins": [
-            {"h": rep.h, "e_cleared": rep.e_cleared, "sign": _SIGN_WORD[rep.sign]}
-            for rep in sweep.reports
+            {"h": h, "e_cleared": margin, "sign": _sign_word(margin)}
+            for h, margin in enumerate(sweep.margins, 1)
         ],
         "stable_poly_coeffs": list(sweep.stable_poly.coeffs),
         "sign_stable_from": sweep.sign_stable_from,
-        "eventual_sign": _SIGN_WORD[sweep.eventual_sign],
+        "eventual_sign": _sign_word(sweep.eventual_sign),
     }
 
 

@@ -22,9 +22,9 @@ Everything here is an exact integer or rational identity in the data
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
 
   expresses that O_X(h) spreads at least as positively as its fibre
-  restriction demands.  Margins are reported in this cleared integer
-  form; the rational normalised value (divided by the rank) is derived
-  from it, so sign questions never touch a division;
+  restriction demands.  Margins are plain integers in this cleared
+  form; the command line derives the normalised value (divided by the
+  rank), so sign questions never touch a division;
 * the stable margin polynomial, margin(h) / h^(dim X - 1) for large h,
   in closed form from the moments of the subset tables at t = 1; the
   moments below order c vanish and the degree-(dim X) coefficient
@@ -55,7 +55,6 @@ from .exact import RatPoly, binom_trunc, signed_subset_tables
 __all__ = [
     "RelativeCI",
     "PushforwardSummary",
-    "PositivityReport",
     "CanonicalClass",
     "SurfaceFormulaReport",
     "h_top",
@@ -170,29 +169,6 @@ class PushforwardSummary:
     degree: int
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Positivity margin of O_X(h): the cleared integer and the pushforward rank.
-
-    ``e_cleared`` is the integer margin, rank times the normalised value.
-    Both other forms derive from the stored pair, so all three agree by
-    construction: ``e_rational`` is e_cleared / rank, undefined (None)
-    when the rank vanishes, and ``sign`` is -1, 0 or 1.
-    """
-
-    h: int
-    e_cleared: int
-    rank: int
-
-    @property
-    def e_rational(self) -> Fraction | None:
-        return Fraction(self.e_cleared, self.rank) if self.rank > 0 else None
-
-    @property
-    def sign(self) -> int:
-        return (self.e_cleared > 0) - (self.e_cleared < 0)
-
-
 def h_top(X: RelativeCI) -> int:
     """Top self-intersection of the tautological class on X.
 
@@ -256,13 +232,11 @@ def alpha_invariant(X: RelativeCI) -> int:
     return X.codim * X.k_prod * X.degree - X.rank * X.y_weight
 
 
-def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
-    """Margin of the positivity inequality for O_X(h), h >= 1.
+def positivity_margin(X: RelativeCI, h: int) -> int:
+    """Cleared margin of the positivity inequality for O_X(h), h >= 1.
 
-    Cleared form:  h^n * h_top * rank - n * h^(n-1) * fibre_deg * deg
-    with n = dim X.  The rational form divides by the rank and is left
-    undefined when the rank is zero (which does not occur for h >= 1 on
-    valid data, but the contract is kept defensive).
+    h^n * h_top * rank - n * h^(n-1) * fibre_deg * deg with n = dim X;
+    the normalised value divides it by the rank, at least r for h >= 1.
     """
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
@@ -270,23 +244,23 @@ def positivity_margin(X: RelativeCI, h: int) -> PositivityReport:
     return _margin(h, pf.rank, pf.degree, X.dim, h_top(X), fibre_deg(X))
 
 
-def _margin(h: int, rank: int, degree: int, n: int, top: int, fib: int) -> PositivityReport:
-    return PositivityReport(h, h ** (n - 1) * (h * top * rank - n * fib * degree), rank)
+def _margin(h: int, rank: int, degree: int, n: int, top: int, fib: int) -> int:
+    return h ** (n - 1) * (h * top * rank - n * fib * degree)
 
 
-def positivity_margins(X: RelativeCI, h_max: int) -> tuple[PositivityReport, ...]:
-    """Margins of O_X(h) for h = 1..h_max, from one run of pushforwards.
+def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
+    """Cleared margins of O_X(h) for h = 1..h_max, from one run of pushforwards.
 
     The rank at h is the t^h coefficient of cnt(t) / (1 - t)^r, so r
     running sums of cnt give every rank up to h_max.  Since
     (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is
     d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
-    Additions only, and no object per twist but its report.  The memo
-    keeps the longest run, which shorter runs and ``pushforward`` read
-    off.  A longer run is built, its last twist held to the direct Koszul
-    sum (or its memoised value), which also asserts degree integrality; a
-    mismatch aborts hard.  Memoised twists keep their entries and the run
-    takes them over, so each margin is the one ``positivity_margin`` reports.
+    Additions only, and no object per twist.  The memo keeps the longest
+    run, which shorter runs and ``pushforward`` read off.  A longer run
+    is built, its last twist held to the direct Koszul sum (or its
+    memoised value), which also asserts degree integrality; a mismatch
+    aborts hard.  Memoised twists keep their entries and the run takes
+    them over, so each margin is the one ``positivity_margin`` returns.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {h_max}")
@@ -440,7 +414,7 @@ def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     return PushforwardSummary(pf.h, pf.rank, pf.degree - kc.fibre_coeff * pf.rank)
 
 
-def canonical_margin(X: RelativeCI) -> PositivityReport:
+def canonical_margin(X: RelativeCI) -> int:
     """Margin of the slope inequality for the relative canonical class.
 
     Computed twice from the pushforward at h0 = k_sum - r: directly from
@@ -452,14 +426,12 @@ def canonical_margin(X: RelativeCI) -> PositivityReport:
     """
     n = X.dim
     omega = omega_pushforward(X)
-    report = positivity_margin(X, omega.h)
+    twisted = positivity_margin(X, omega.h)
     kf_fibre_power = omega.h ** (n - 1) * fibre_deg(X)
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
-    if direct != report.e_cleared:
-        raise InternalCheckError(
-            f"canonical margin mismatch: direct {direct} vs twisted {report.e_cleared}"
-        )
-    return report
+    if direct != twisted:
+        raise InternalCheckError(f"canonical margin mismatch: direct {direct} vs twisted {twisted}")
+    return twisted
 
 
 def balanced_margin(X: RelativeCI, h: int) -> int:

@@ -33,7 +33,6 @@ from .bundles import BundleOverCurve, mn_divisor_test
 from .errors import InputError, InternalCheckError
 from .exact import RatPoly
 from .invariants import (
-    PositivityReport,
     RelativeCI,
     alpha_invariant,
     canonical_class,
@@ -99,7 +98,7 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     """
     a = alpha_invariant(X)
     c_mu = X.codim * X.bundle.slope
-    margins = {rep.h: rep.e_cleared for rep in positivity_margins(X, min(X.k) - 1)}
+    margins = dict(enumerate(positivity_margins(X, min(X.k) - 1), 1))
     by_alpha = a >= 0
     by_ratio = X.ratio_sum <= c_mu
     by_margins = all(m >= 0 for m in margins.values())
@@ -173,10 +172,9 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     kf = canonical_top_power(X)
     margin = canonical_margin(X)
     crit = X.bundle.slope >= ratio
-    if not (kf >= 0) == (margin.e_cleared >= 0) == crit:
+    if not (kf >= 0) == (margin >= 0) == crit:
         raise InternalCheckError(
-            f"slope equivalence broke: kf_top {kf}, "
-            f"margin {margin.e_cleared}, criterion {crit}"
+            f"slope equivalence broke: kf_top {kf}, margin {margin}, criterion {crit}"
         )
     return VerdictReport(
         theorem="Slope",
@@ -184,7 +182,7 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
         conclusion="SlopeHolds" if crit else "SlopeFails",
         witnesses={
             "kf_top": kf,
-            "margin": margin.e_cleared,
+            "margin": margin,
             "mu": X.bundle.slope,
             "ratio": ratio,
         },
@@ -287,16 +285,16 @@ def build_example(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Margins over a twist range plus exact stabilisation data."""
+    """Cleared margins for h = 1..h_max plus exact stabilisation data."""
 
-    reports: tuple[PositivityReport, ...]
+    margins: tuple[int, ...]
     stable_poly: RatPoly
     sign_stable_from: int
     eventual_sign: int
 
 
 def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
-    """Margins for h = 1..h_max and the exact eventual behaviour.
+    """Cleared margins for h = 1..h_max and the exact eventual behaviour.
 
     The margins come from one run of twists (``positivity_margins``).
     The stable polynomial is the normalised margin for h > k_sum - r,
@@ -305,11 +303,11 @@ def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     k_sum and a root bound on that polynomial) the sign of every margin
     equals ``eventual_sign``.
     """
-    reports = positivity_margins(X, h_max)
+    margins = positivity_margins(X, h_max)
     poly = stable_margin_poly(X)
     lead = poly.leading
     return SweepResult(
-        reports=reports,
+        margins=margins,
         stable_poly=poly,
         sign_stable_from=max(X.k_sum, poly.sign_stable_from()),
         eventual_sign=(lead > 0) - (lead < 0),

@@ -66,6 +66,6 @@ def sampled_stable_poly(X: RelativeCI) -> RatPoly:
     """
     n = X.dim
     return interpolate([
-        (h, Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1)))
+        (h, Fraction(positivity_margin(X, h), h ** (n - 1)))
         for h in range(X.k_sum, X.k_sum + n + 2)
     ])

@@ -81,7 +81,7 @@ def test_criterion_1_small_twist_proportionality():
         a = alpha_invariant(X)
         r, n = X.rank, X.dim
         for h in range(1, min(X.k)):
-            got = positivity_margin(X, h).e_cleared
+            got = positivity_margin(X, h)
             want = h ** (n - 1) * Fraction(h, r) * binom_trunc(h + r - 1, r - 1) * a
             if got != want:
                 bad.append((X, h, got, want))
@@ -163,7 +163,7 @@ def test_criterion_3_balanced_closed_form():
         n = X.dim
         for h in range(1, 3 * X.k[0] + 1):
             closed = balanced_margin(X, h)
-            general = X.rank * Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1))
+            general = X.rank * Fraction(positivity_margin(X, h), h ** (n - 1))
             if closed != general:
                 bad.append((X, h, closed, general))
     ok = not bad
@@ -182,7 +182,7 @@ def test_criterion_4_slope_theorem():
         kf = canonical_top_power(X)
         if kf != (c * k - r) ** (n - 1) * (k - 1) * a:
             bad.append((X, "kf_top closed form", kf))
-        margin = canonical_margin(X).e_cleared
+        margin = canonical_margin(X)
         crit = X.bundle.slope >= Fraction(X.y_sum, c * k)
         if not ((kf >= 0) == (margin >= 0) == crit):
             bad.append((X, "predicates diverge", kf, margin, crit))
@@ -229,7 +229,7 @@ def test_criterion_5_worked_instance_via_oracles():
         "kf2": canonical_top_power(X),
         "rank_omega": omega_pushforward(X).rank,
         "deg_omega": omega_pushforward(X).degree,
-        "slope_margin": canonical_margin(X).e_cleared,
+        "slope_margin": canonical_margin(X),
     }
     ok = oracle_side == frozen and closed_side == frozen
     scoreboard(5, "worked instance", ok)
@@ -313,8 +313,8 @@ def test_criterion_8_twist_invariance_of_canonical_margin():
             canonical_top_power(X) * omega.rank
             - n * h0 ** (n - 1) * fibre_deg(X) * omega.degree
         )
-        twisted = positivity_margin(X, h0).e_cleared
-        if direct != twisted or canonical_margin(X).e_cleared != twisted:
+        twisted = positivity_margin(X, h0)
+        if direct != twisted or canonical_margin(X) != twisted:
             bad.append((X, direct, twisted))
     ok = not bad
     scoreboard(8, "twist invariance of the canonical margin", ok)

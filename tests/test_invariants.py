@@ -105,27 +105,15 @@ class TestPushforward:
 
 class TestMargin:
     def test_conic_margin(self):
-        rep = positivity_margin(plain(3, 5, (2,), (0,)), 1)
-        assert rep.e_cleared == 10
-        assert rep.e_rational == Fraction(10, 3)
-        assert rep.sign == 1
+        assert positivity_margin(plain(3, 5, (2,), (0,)), 1) == 10
 
     def test_worked_margins(self):
-        assert positivity_margin(WORKED, 1).e_cleared == 36
-        assert positivity_margin(WORKED, 2).e_cleared == 360
+        assert positivity_margin(WORKED, 1) == 36
+        assert positivity_margin(WORKED, 2) == 360
 
     def test_h_zero_rejected(self):
         with pytest.raises(InputError):
             positivity_margin(WORKED, 0)
-
-    def test_rational_matches_cleared_sign(self, rng):
-        for _ in range(100):
-            X = make_ci(rng)
-            h = rng.randint(1, X.k_sum + 2)
-            rep = positivity_margin(X, h)
-            assert rep.e_rational is not None
-            assert rep.e_cleared == rep.e_rational * pushforward(X, h).rank
-            assert rep.sign == (rep.e_rational > 0) - (rep.e_rational < 0)
 
     def test_small_h_band_proportional_to_alpha(self, rng):
         # inside 1 <= h < min(k) the cleared margin is exactly
@@ -136,7 +124,7 @@ class TestMargin:
             r, n = X.rank, X.dim
             for h in range(1, min(X.k)):
                 want = h ** (n - 1) * Fraction(h, r) * binom_trunc(h + r - 1, r - 1) * a
-                assert positivity_margin(X, h).e_cleared == want
+                assert positivity_margin(X, h) == want
 
 
 class TestMarginRuns:
@@ -348,8 +336,7 @@ class TestOmegaAndSlope:
         assert (pf.h, pf.rank, pf.degree) == (2, 10, 30)
 
     def test_worked_margin(self):
-        rep = canonical_margin(WORKED)
-        assert rep.e_cleared == 360
+        assert canonical_margin(WORKED) == 360
         # direct recomputation of the canonical-side margin
         assert 144 * 10 - 2 * (2 * 9) * 30 == 360
 
@@ -373,17 +360,17 @@ class TestOmegaAndSlope:
                 canonical_top_power(X) * omega.rank
                 - n * h0 ** (n - 1) * fibre_deg(X) * omega.degree
             )
-            assert direct == rep.e_cleared == positivity_margin(X, h0).e_cleared
+            assert direct == rep == positivity_margin(X, h0)
 
     def test_boundary_margin_zero(self):
         # balanced with mu exactly y_sum/(c*k): margin vanishes
         X = plain(4, 2, (3, 3), (1, 2))  # mu = 1/2 = 3/6
         assert alpha_invariant(X) == 0
-        assert canonical_margin(X).e_cleared == 0
+        assert canonical_margin(X) == 0
 
     def test_negative_margin(self):
         X = plain(4, 4, (3, 3), (4, 4))  # mu = 1 < 8/6
-        assert canonical_margin(X).e_cleared < 0
+        assert canonical_margin(X) < 0
 
 
 class TestBalancedMargin:
@@ -406,7 +393,7 @@ class TestBalancedMargin:
             n = X.dim
             for h in range(1, 3 * X.k[0] + 1):
                 lhs = balanced_margin(X, h)
-                rhs = X.rank * Fraction(positivity_margin(X, h).e_cleared, h ** (n - 1))
+                rhs = X.rank * Fraction(positivity_margin(X, h), h ** (n - 1))
                 assert lhs == rhs
 
 
