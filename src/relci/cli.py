@@ -43,6 +43,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -84,9 +85,20 @@ _FLAG_LIMITS = {
 # no decimal point or exponent: the length of the text bounds the size of the number
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+_SHOWN = 60  # the longest input a message repeats whole
+
 
 def _sign_word(value: Any) -> str:
     return "positive" if value > 0 else "negative" if value < 0 else "zero"
+
+
+def _shown(value: Any) -> str:
+    """An input value as a message repeats it: whole when short, else its type and size."""
+    if type(value) is int:  # sized with no decimal text: a sum can pass the output limit
+        digits = Decimal(value).adjusted() + 1
+        return repr(value) if digits <= _SHOWN else f"an int of {digits} digits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"a {type(value).__name__} of length {len(value)}"
 
 
 def _enc(value: Any) -> Any:
@@ -122,19 +134,19 @@ def _rat(value: Any, field: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{field}: not a rational: {value!r}") from exc
+        raise InputError(f"{field}: not a rational: {_shown(value)}") from exc
 
 
 def _int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field}: expected an integer, got {value!r}")
+        raise InputError(f"{field}: expected an integer, got {_shown(value)}")
     return value
 
 
 def _shaped(value: Any, kind: type, field: str) -> Any:
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
-        raise InputError(f"{field} must be {noun}, got {value!r}")
+        raise InputError(f"{field} must be {noun}, got {_shown(value)}")
     return value
 
 
@@ -175,8 +187,8 @@ def instance_from_json(data: Any) -> RelativeCI:
         # first; it rejects an empty list itself
         if degs and (len(degs), sum(degs)) != (rank, degree):
             raise InputError(
-                f"bundle.split implies (rank, degree) = ({len(degs)}, {sum(degs)}), "
-                f"file says ({rank}, {degree})"
+                f"bundle.split implies (rank, degree) = ({len(degs)}, {_shown(sum(degs))}), "
+                f"file says ({_shown(rank)}, {_shown(degree)})"
             )
         bundle = BundleOverCurve.split(degs, genus)
         if hn is not None and bundle.hn != hn:
@@ -186,9 +198,9 @@ def instance_from_json(data: Any) -> RelativeCI:
     if not k:
         raise InputError("ci.k must be a nonempty list")
     if sum(k) > MAX_K_SUM:
-        raise InputError(f"ci.k sums to {sum(k)}, above the limit {MAX_K_SUM}")
+        raise InputError(f"ci.k sums to {_shown(sum(k))}, above the limit {MAX_K_SUM}")
     if rank > MAX_RANK:
-        raise InputError(f"bundle.rank {rank} is above the limit {MAX_RANK}")
+        raise InputError(f"bundle.rank {_shown(rank)} is above the limit {MAX_RANK}")
     return RelativeCI(bundle, k, y)
 
 
@@ -294,7 +306,16 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
         cone(bundle, c, label)
         for label in (ConeLabel.PSEFF, ConeLabel.BRIDGE, ConeLabel.NEF)
     ]
-    svg_path = None
+    # encoded first: a threshold past the output limit is an exit 2, not a diagram
+    rows = _enc([
+        {
+            "label": cd.label.value,
+            "threshold": cd.threshold,
+            "ray1": {"p": cd.ray1.p, "q": cd.ray1.q},
+            "ray2": {"p": cd.ray2.p, "q": cd.ray2.q},
+        }
+        for cd in described
+    ])
     if args.svg:
         try:
             Path(args.svg).write_text(
@@ -302,20 +323,11 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
             )
         except OSError as exc:
             raise InputError(f"cannot write {args.svg}: {exc}") from exc
-        svg_path = args.svg
     return {
         "codim": c,
-        "cones": [
-            {
-                "label": cd.label.value,
-                "threshold": cd.threshold,
-                "ray1": {"p": cd.ray1.p, "q": cd.ray1.q},
-                "ray2": {"p": cd.ray2.p, "q": cd.ray2.q},
-            }
-            for cd in described
-        ],
+        "cones": rows,
         "coincide": bundle.is_semistable,
-        "svg": svg_path,
+        "svg": args.svg or None,
     }
 
 

@@ -19,6 +19,7 @@ __all__ = ["cone_diagram"]
 _SIZE = 480
 _ORIGIN = (90.0, 240.0)
 _ARM = 170.0
+_STEEP = 10**6  # a steeper ray draws as vertical at two decimals
 _STYLE = {
     "Pseff": "#d95f02",
     "Bridge": "#7570b3",
@@ -31,8 +32,9 @@ def _fmt(x: float) -> str:
 
 
 def _ray_end(threshold: Fraction) -> tuple[float, float]:
-    # unit vector along (1, -t), y flipped for SVG, scaled to arm length
-    t = float(threshold)
+    # unit vector along (1, -t), y flipped for SVG, scaled to arm length; t is
+    # clamped exactly first, as a huge rational has no float
+    t = float(max(-_STEEP, min(threshold, _STEEP)))
     norm = hypot(1.0, t)
     return (_ORIGIN[0] + _ARM / norm, _ORIGIN[1] + _ARM * t / norm)
 

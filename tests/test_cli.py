@@ -25,8 +25,10 @@ from relci.cli import (
     instance_to_json,
     main,
 )
+from tests.conftest import make_ci
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SIGN_WORDS = {1: "positive", 0: "zero", -1: "negative"}
 
 WORKED = {
     "bundle": {"rank": 4, "degree": 4, "base_genus": 0, "split": [1, 1, 1, 1]},
@@ -45,6 +47,16 @@ def run_main(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def margin_draws(rng, tmp_path, count):
+    """Seeded instance files, then one whose margins all vanish (alpha = 0, balanced)."""
+    draws = [make_ci(rng) for _ in range(count)]
+    draws.append(RelativeCI(BundleOverCurve(4, 3), (2, 2), (1, 2)))
+    for i, X in enumerate(draws):
+        path = tmp_path / f"draw{i}.json"
+        path.write_text(json.dumps(instance_to_json(X)), encoding="utf-8")
+        yield X, str(path)
 
 
 class TestInvariantsCommand:
@@ -81,6 +93,19 @@ class TestInvariantsCommand:
                     walk(v)
 
         walk(json.loads(out))
+
+    def test_derived_margin_forms(self, capsys, tmp_path, rng):
+        # the normalised value and the sign word are derived from the cleared margin
+        words = set()
+        for X, path in margin_draws(rng, tmp_path, 60):
+            h = rng.randint(1, X.k_sum + 2)
+            code, out, _ = run_main(capsys, "invariants", "-i", path, "-h", str(h))
+            res = json.loads(out)["result"]
+            cleared = int(res["e_cleared"])
+            assert code == 0 and Fraction(res["e_rational"]) * int(res["rank"]) == cleared
+            assert res["sign"] == SIGN_WORDS[(cleared > 0) - (cleared < 0)]
+            words.add(res["sign"])
+        assert words == set(SIGN_WORDS.values())
 
     def test_malformed_ci_exits_2(self, capsys, tmp_path):
         bad = dict(WORKED, ci={"k": [3, 3], "y": [1]})
@@ -199,6 +224,18 @@ class TestConesCommand:
         code, _, _ = run_main(capsys, "cones", "-i", worked_file, "-c", "4")
         assert code == 2
 
+    def test_svg_of_a_threshold_past_float_range(self, capsys, tmp_path):
+        inst = {"bundle": {"rank": 4, "degree": 10**400, "hn": [{"rank": 1, "degree": 10**400},
+                                                               {"rank": 3, "degree": 0}]},
+                "ci": {"k": [2], "y": [0]}}
+        path, svg = tmp_path / "steep.json", tmp_path / "steep.svg"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code, out, _ = run_main(capsys, "cones", "-i", str(path), "-c", "1", "--svg", str(svg))
+        assert code == 0 and json.loads(out)["result"]["svg"] == str(svg)
+        # the Pseff ray, of slope 10^400, draws as vertical; its exact slope is kept
+        text = svg.read_text(encoding="utf-8")
+        assert f'L 90.00 410.00 Z" fill="#d95f02"' in text and f'data-slope="{10**400}"' in text
+
 
 class TestSweepCommand:
     def test_margins_and_stable_data(self, capsys, worked_file):
@@ -219,6 +256,18 @@ class TestSweepCommand:
         res = json.loads(out)["result"]
         assert {m["sign"] for m in res["margins"]} == {"negative"}
         assert res["eventual_sign"] == "negative"
+
+    def test_sign_words_match_cleared_margins(self, capsys, tmp_path, rng):
+        words = set()
+        for X, path in margin_draws(rng, tmp_path, 30):
+            code, out, _ = run_main(capsys, "sweep", "-i", path, "--h-max", str(X.k_sum + 2))
+            rows = json.loads(out)["result"]["margins"]
+            assert code == 0 and [row["h"] for row in rows] == [str(h) for h in range(1, X.k_sum + 3)]
+            for row in rows:
+                cleared = int(row["e_cleared"])
+                assert row["sign"] == SIGN_WORDS[(cleared > 0) - (cleared < 0)]
+                words.add(row["sign"])
+        assert words == set(SIGN_WORDS.values())
 
 
 class TestOracleCommand:
@@ -706,12 +755,69 @@ class TestUnwritableReports:
         assert (code, out) == (2, "")
         assert err.startswith("relci: invalid input:") and err.count("\n") == 1
 
+    def test_svg_threshold_past_the_digit_limit(self, capsys, tmp_path):
+        # four 4300-digit slopes; the two largest sum past what str() may print
+        a = 6 * 10**4299
+        hn = [(1, a), (1, a - 1), (1, 2 - a), (1, 1 - a)]
+        inst = {"bundle": {"rank": 4, "degree": 2, "hn": [{"rank": r, "degree": d} for r, d in hn]},
+                "ci": {"k": [2], "y": [0]}}
+        path, svg = tmp_path / "huge.json", tmp_path / "huge.svg"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code, out, err = run_main(capsys, "cones", "-i", str(path), "-c", "2", "--svg", str(svg))
+        assert (code, out) == (2, "") and not svg.exists()
+        assert err.startswith("relci: invalid input:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("target", ["missing/x.svg", "."], ids=["missing_dir", "directory"])
     def test_svg_path(self, capsys, tmp_path, target):
         split210 = str(DEMOS / "instances" / "split210.json")
         code, out, err = run_main(capsys, "cones", "-i", split210, "-c", "1", "--svg", str(tmp_path / target))
         assert (code, out) == (2, "")
         assert err.startswith("relci: invalid input: cannot write ") and err.count("\n") == 1
+
+
+NINES = int("9" * 4300)  # the longest integer JSON decodes; two of them sum past str()'s limit
+INSTANCE = {"bundle": {"rank": 4, "degree": 4}, "ci": {"k": [3, 3], "y": [1, 2]}}
+LONG_INPUTS = {
+    "k_sum": ("verdict", {**INSTANCE, "ci": {"k": [NINES, NINES], "y": [1, 2]}},
+              "ci.k sums to an int of 4301 digits,"),
+    "split_sum": ("verdict", {**INSTANCE, "bundle": {"rank": 4, "degree": 4, "split": [NINES, NINES, 1, 1]}},
+                  "(4, an int of 4301 digits), file says (4, 4)"),
+    "bundle_list": ("verdict", {**INSTANCE, "bundle": list(range(200_000))},
+                    "bundle must be an object, got a list of length 200000"),
+    "rank_digits": ("verdict", {**INSTANCE, "bundle": {"rank": NINES, "degree": 4}},
+                    "bundle.rank an int of 4300 digits is above the limit"),
+    "rank_text": ("verdict", {**INSTANCE, "bundle": {"rank": "x" * 10**6, "degree": 4}},
+                  "bundle.rank: expected an integer, got a str of length 1000000"),
+    "e_f": ("contact", {"weights": ["1"] * 4, "y": {"dim": 1, "deg": 2, "e_f": "1" * 500_000},
+                        "z": {"dim": 2, "deg": 3, "e_f": "6"}},
+            "y.e_f: not a rational: a str of length 500000"),
+}
+
+
+class TestLongInputsInMessages:
+    """An exit-2 message names a long input by its type and size, on one short line."""
+
+    @pytest.mark.parametrize("name", sorted(LONG_INPUTS))
+    def test_one_short_line(self, capsys, tmp_path, name):
+        command, doc, words = LONG_INPUTS[name]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_main(capsys, command, "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("relci: invalid input:") and words in err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    # a value prints whole up to 60 characters, or 60 digits
+    @pytest.mark.parametrize("rank, tail", [
+        ("x" * 58, f"got {'x' * 58!r}"), ("x" * 59, "got a str of length 59"),
+        (10**59, f"file says ({10**59}, 4)"), (-(10**60), "file says (an int of 61 digits, 4)"),
+    ], ids=["str_58", "str_59", "int_60_digits", "int_61_digits"])
+    def test_short_values_print_whole(self, capsys, tmp_path, rank, tail):
+        path = tmp_path / "rank.json"
+        bundle = {"rank": rank, "degree": 4, "split": [1, 1, 1, 1]}
+        path.write_text(json.dumps({**INSTANCE, "bundle": bundle}), encoding="utf-8")
+        code, _, err = run_main(capsys, "verdict", "-i", str(path))
+        assert code == 2 and err.endswith(f"{tail}\n")
 
 
 # Any JSON value, with integers kept small: the caps on work are not under test.

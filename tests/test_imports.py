@@ -9,16 +9,20 @@ define one.  No module imports another module's private
 define itself.  Only the front end ``cli`` depends on ``cli``: no other
 module imports it, at any depth of its source.  ``InternalCheckError``
 carries its message alone: the front end names the instance of an exit 3,
-so no module passes one to the exception or reads one off it.
+so no module passes one to the exception or reads one off it.  The
+README's "Library layout" table names only types that ``relci`` exports.
 """
 
 import ast
 import importlib
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relci"
+README = SRC.parents[1] / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -148,3 +152,12 @@ def test_internal_check_errors_carry_only_a_message(path):
         and isinstance(node.value, ast.Name) and node.value.id in caught
     ]
     assert extra + read == [], f"{path.name} passes an instance with an internal check error or reads one"
+
+
+def test_readme_layout_names_exported_types():
+    section = README.read_text(encoding="utf-8").split("\n## Library layout\n", 1)[1]
+    table = "\n".join(takewhile(lambda line: line.startswith("|"), section.strip().splitlines()))
+    heads = {span.split(".")[0] for span in re.findall(r"`([^`]+)`", table)}
+    camel = {name for name in heads if re.fullmatch(r"(?:[A-Z][a-z0-9]+){2,}", name)}
+    assert camel, "the table names no CamelCase type"
+    assert sorted(camel - set(importlib.import_module("relci").__all__)) == []
