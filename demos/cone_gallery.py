@@ -38,7 +38,7 @@ print("virtual slopes:", virtual_slopes(E), " mu =", E.slope)
 # Thresholds t of the rays H^c - t * H^(c-1)S for each codimension.
 
 for c in (1, 2):
-    row = {label.value: cone(E, c, label).threshold for label in ConeLabel}
+    row = {label.value: cone(E, c, label) for label in ConeLabel}
     print(f"c = {c}:", row)
 
 # %%
@@ -70,6 +70,6 @@ print("class of X:", (cls.p, cls.q), "->", classify(E, cls).value)
 # exact rational thresholds stored in data-slope attributes.
 
 out = Path("cone_wedges.svg")
-cones = [cone(E, 2, label) for label in (ConeLabel.PSEFF, ConeLabel.BRIDGE, ConeLabel.NEF)]
-out.write_text(cone_diagram(cones, E.is_semistable), encoding="utf-8")
+thresholds = {label: cone(E, 2, label) for label in reversed(ConeLabel)}  # outermost first
+out.write_text(cone_diagram(2, thresholds, E.is_semistable), encoding="utf-8")
 print("wrote", out)

@@ -21,7 +21,8 @@ nefness bounds mu_1 and mu_last for divisors k*H - m*S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
@@ -33,7 +34,6 @@ __all__ = [
     "BundleOverCurve",
     "CycleClass",
     "ConeLabel",
-    "ConeDescription",
     "Region",
     "DivisorPositivity",
     "virtual_slopes",
@@ -64,18 +64,17 @@ class BundleOverCurve:
     enter any formula; the base genus is carried along as metadata and
     echoed in reports.  ``hn`` lists the subquotient blocks as
     (rank, degree) pairs, top slope first; a semistable bundle is the
-    single-block profile ``((rank, degree),)``.  Only ``split`` sets
-    ``line_degrees`` (in input order), which the brute-force oracles need.
-    Since it is not a constructor parameter, ``dataclasses.replace`` on a
-    split bundle returns one without ``line_degrees``; rebuild it with
-    ``split`` instead.
+    single-block profile ``((rank, degree),)``.  ``line_degrees`` are the
+    summand degrees of a direct sum of line bundles (in input order, as
+    ``split`` sets them), which the brute-force oracles need; they must
+    induce ``hn``.
     """
 
     rank: int
     degree: int
     base_genus: int = 0
     hn: tuple[tuple[int, int], ...] | None = None
-    line_degrees: tuple[int, ...] | None = field(default=None, init=False)
+    line_degrees: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.rank < 2:
@@ -95,6 +94,9 @@ class BundleOverCurve:
             slopes = [Fraction(d, r) for r, d in hn]
             if any(a <= b for a, b in zip(slopes, slopes[1:])):
                 raise InputError("hn block slopes must be strictly decreasing")
+        # the blocks sum to (rank, degree), so this pins the summand count and sum too
+        if self.line_degrees is not None and split_hn_blocks(self.line_degrees) != self.hn:
+            raise InputError("line degrees disagree with the Harder-Narasimhan profile")
 
     @classmethod
     def semistable(cls, rank: int, degree: int, base_genus: int = 0) -> "BundleOverCurve":
@@ -103,9 +105,7 @@ class BundleOverCurve:
     @classmethod
     def split(cls, line_degrees: Sequence[int], base_genus: int = 0) -> "BundleOverCurve":
         degs = tuple(int(a) for a in line_degrees)
-        bundle = cls(len(degs), sum(degs), base_genus, hn=split_hn_blocks(degs))
-        object.__setattr__(bundle, "line_degrees", degs)
-        return bundle
+        return cls(len(degs), sum(degs), base_genus, split_hn_blocks(degs), degs)
 
     @property
     def slope(self) -> Fraction:
@@ -122,12 +122,23 @@ class BundleOverCurve:
     @property
     def mu_first(self) -> Fraction:
         """Largest Harder-Narasimhan slope."""
-        return virtual_slopes(self)[0]
+        r, d = _hn(self)[0]
+        return Fraction(d, r)
 
     @property
     def mu_last(self) -> Fraction:
         """Smallest Harder-Narasimhan slope."""
-        return virtual_slopes(self)[-1]
+        r, d = _hn(self)[-1]
+        return Fraction(d, r)
+
+
+def _hn(bundle: BundleOverCurve) -> tuple[tuple[int, int], ...]:
+    if bundle.hn is None:
+        raise InputError(
+            "virtual slopes need the Harder-Narasimhan profile; "
+            "provide hn (a semistable bundle is hn=[(rank, degree)])"
+        )
+    return bundle.hn
 
 
 def virtual_slopes(bundle: BundleOverCurve) -> tuple[Fraction, ...]:
@@ -136,13 +147,8 @@ def virtual_slopes(bundle: BundleOverCurve) -> tuple[Fraction, ...]:
     Sorted non-increasing; the sum always equals the bundle degree.
     Requires the Harder-Narasimhan profile.
     """
-    if bundle.hn is None:
-        raise InputError(
-            "virtual slopes need the Harder-Narasimhan profile; "
-            "provide hn (a semistable bundle is hn=[(rank, degree)])"
-        )
     out: list[Fraction] = []
-    for r, d in bundle.hn:
+    for r, d in _hn(bundle):
         out.extend([Fraction(d, r)] * r)
     return tuple(out)
 
@@ -170,44 +176,21 @@ class ConeLabel(str, Enum):
     PSEFF = "Pseff"
 
 
-@dataclass(frozen=True)
-class ConeDescription:
-    """A two-dimensional cone <ray1, ray2> in the codim-c cycle plane.
+def cone(bundle: BundleOverCurve, c: int, label: ConeLabel) -> Fraction:
+    """Threshold t of the Nef / bridge / Pseff cone in codim c.
 
-    ray1 is always the common class H^(c-1)S; ray2 is H^c - t*H^(c-1)S
-    with t the cone's threshold, kept separately for exact comparisons.
-    """
-
-    codim: int
-    label: ConeLabel
-    threshold: Fraction
-    ray1: CycleClass = field(init=False)
-    ray2: CycleClass = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ray1", CycleClass(self.codim, 0, 1))
-        object.__setattr__(self, "ray2", CycleClass(self.codim, 1, -self.threshold))
-
-
-def cone(bundle: BundleOverCurve, c: int, label: ConeLabel) -> ConeDescription:
-    """Extremal-ray description of the Nef / bridge / Pseff cone in codim c.
-
-    Thresholds: the sum of the c smallest virtual slopes (Nef), c times
-    the slope (bridge), the sum of the c largest virtual slopes (Pseff).
-    The bridge cone needs only (rank, degree); the other two need the
-    Harder-Narasimhan profile.
+    The cone is <H^(c-1)S, H^c - t*H^(c-1)S>, with t the sum of the c
+    smallest virtual slopes (Nef), c times the slope (bridge) or the sum
+    of the c largest virtual slopes (Pseff).  The bridge cone needs only
+    (rank, degree); the other two need the Harder-Narasimhan profile.
     """
     if not 1 <= c <= bundle.rank - 1:
         raise InputError(f"codimension {c} out of range 1..{bundle.rank - 1}")
     label = ConeLabel(label)
     if label is ConeLabel.BRIDGE:
-        t = c * bundle.slope
-    else:
-        slopes = virtual_slopes(bundle)
-        t = sum(slopes[:c], Fraction(0)) if label is ConeLabel.PSEFF else sum(
-            slopes[-c:], Fraction(0)
-        )
-    return ConeDescription(c, label, t)
+        return c * bundle.slope
+    slopes = virtual_slopes(bundle)
+    return sum(slopes[:c] if label is ConeLabel.PSEFF else slopes[-c:], Fraction(0))
 
 
 class DivisorPositivity(NamedTuple):
@@ -223,13 +206,17 @@ def mn_divisor_test(bundle: BundleOverCurve, k: int, m: int) -> DivisorPositivit
     """
     if k <= 0:
         raise InputError(f"divisor H-coefficient must be >= 1, got {k}")
-    slopes = virtual_slopes(bundle)
     ratio = Fraction(m, k)
-    return DivisorPositivity(pseff=ratio <= slopes[0], nef=ratio <= slopes[-1])
+    return DivisorPositivity(pseff=ratio <= bundle.mu_first, nef=ratio <= bundle.mu_last)
 
 
 class Region(str, Enum):
-    """Position of a class relative to the nested cones Nef <= B <= Pseff."""
+    """Position of a class relative to the nested cones Nef <= B <= Pseff.
+
+    Declared in order of the threshold ratio: member 2i lies strictly
+    between the thresholds of cones i - 1 and i (in ``ConeLabel`` order),
+    member 2i + 1 on the boundary of cone i; ``classify`` counts on it.
+    """
 
     INSIDE_NEF = "InsideNef"
     NEF_BOUNDARY = "NefBoundary"
@@ -261,18 +248,7 @@ def classify(bundle: BundleOverCurve, cls: CycleClass) -> Region:
         raise InputError("cycle class with negative H^c coefficient is not a candidate")
     if cls.p == 0:
         return Region.NEF_BOUNDARY
-    nef_t, bridge_t, pseff_t = (cone(bundle, cls.codim, label).threshold for label in ConeLabel)
+    ts = [cone(bundle, cls.codim, label) for label in ConeLabel]  # non-decreasing
     ratio = -cls.q / cls.p
-    if ratio < nef_t:
-        return Region.INSIDE_NEF
-    if ratio == nef_t:
-        return Region.NEF_BOUNDARY
-    if ratio < bridge_t:
-        return Region.INSIDE_BRIDGE_OUTSIDE_NEF
-    if ratio == bridge_t:
-        return Region.BRIDGE_BOUNDARY
-    if ratio < pseff_t:
-        return Region.INSIDE_PSEFF_OUTSIDE_BRIDGE
-    if ratio == pseff_t:
-        return Region.PSEFF_BOUNDARY
-    return Region.OUTSIDE_PSEFF
+    i = bisect_left(ts, ratio)  # the innermost cone whose threshold is not below the ratio
+    return list(Region)[2 * i + (ts[i:i + 1] == [ratio])]

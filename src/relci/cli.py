@@ -101,6 +101,14 @@ def _shown(value: Any) -> str:
     return text if len(text) <= _SHOWN else f"a {type(value).__name__} of length {len(value)}"
 
 
+def _int_flag(text: str) -> int:
+    """``type=int`` for a flag, naming a long value that is not one by its size."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def _enc(value: Any) -> Any:
     """Encode report values: every number becomes a decimal string.
 
@@ -179,17 +187,24 @@ def instance_from_json(data: Any) -> RelativeCI:
             (_int(b.get("rank"), "bundle.hn.rank"), _int(b.get("degree"), "bundle.hn.degree"))
             for b in blocks
         )
-    if braw.get("split") is None:
-        bundle = BundleOverCurve(rank, degree, genus, hn)
-    else:
+    degs = None
+    if braw.get("split") is not None:
         degs = [_int(a, "bundle.split") for a in _shaped(braw["split"], list, "bundle.split")]
-        # before BundleOverCurve.split, whose rank and genus checks would speak
-        # first; it rejects an empty list itself
+        # before the rank bounds and the bundle's own rank and genus checks;
+        # BundleOverCurve.split rejects an empty list itself
         if degs and (len(degs), sum(degs)) != (rank, degree):
             raise InputError(
                 f"bundle.split implies (rank, degree) = ({len(degs)}, {_shown(sum(degs))}), "
                 f"file says ({_shown(rank)}, {_shown(degree)})"
             )
+    # here, not in BundleOverCurve, so that a long rank is named by its size
+    if rank < 2:
+        raise InputError(f"bundle rank must be >= 2, got {_shown(rank)}")
+    if rank > MAX_RANK:
+        raise InputError(f"bundle.rank {_shown(rank)} is above the limit {MAX_RANK}")
+    if degs is None:
+        bundle = BundleOverCurve(rank, degree, genus, hn)
+    else:
         bundle = BundleOverCurve.split(degs, genus)
         if hn is not None and bundle.hn != hn:
             raise InputError("bundle.hn disagrees with the profile induced by bundle.split")
@@ -199,8 +214,6 @@ def instance_from_json(data: Any) -> RelativeCI:
         raise InputError("ci.k must be a nonempty list")
     if sum(k) > MAX_K_SUM:
         raise InputError(f"ci.k sums to {_shown(sum(k))}, above the limit {MAX_K_SUM}")
-    if rank > MAX_RANK:
-        raise InputError(f"bundle.rank {_shown(rank)} is above the limit {MAX_RANK}")
     return RelativeCI(bundle, k, y)
 
 
@@ -282,7 +295,7 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
     if bundle.has_hn:
         cone_part["region"] = classify(bundle, cls).value
         cone_part["thresholds"] = {
-            label.value.lower(): cone(bundle, X.codim, label).threshold for label in ConeLabel
+            label.value.lower(): cone(bundle, X.codim, label) for label in ConeLabel
         }
     else:
         a = alpha_invariant(X)  # a positive multiple of c*mu - sum_i y_i/k_i
@@ -302,24 +315,16 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
     if not bundle.has_hn:
         raise InputError("cone description needs the Harder-Narasimhan profile (hn or split)")
     c = args.codim
-    described = [
-        cone(bundle, c, label)
-        for label in (ConeLabel.PSEFF, ConeLabel.BRIDGE, ConeLabel.NEF)
-    ]
+    thresholds = {label: cone(bundle, c, label) for label in reversed(ConeLabel)}  # outermost first
     # encoded first: a threshold past the output limit is an exit 2, not a diagram
     rows = _enc([
-        {
-            "label": cd.label.value,
-            "threshold": cd.threshold,
-            "ray1": {"p": cd.ray1.p, "q": cd.ray1.q},
-            "ray2": {"p": cd.ray2.p, "q": cd.ray2.q},
-        }
-        for cd in described
+        {"label": label.value, "threshold": t, "ray1": {"p": 0, "q": 1}, "ray2": {"p": 1, "q": -t}}
+        for label, t in thresholds.items()
     ])
     if args.svg:
         try:
             Path(args.svg).write_text(
-                cone_diagram(described, bundle.is_semistable), encoding="utf-8"
+                cone_diagram(c, thresholds, bundle.is_semistable), encoding="utf-8"
             )
         except OSError as exc:
             raise InputError(f"cannot write {args.svg}: {exc}") from exc
@@ -438,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", add_help=False,
                         help="intersection numbers, pushforward data and margins")
     _add_common(sp)
-    sp.add_argument("-h", dest="h", type=int, default=1, metavar="H",
+    sp.add_argument("-h", dest="h", type=_int_flag, default=1, metavar="H",
                     help=f"tautological twist (default 1, at most {MAX_TWIST})")
     sp.set_defaults(func=_cmd_invariants)
 
@@ -448,21 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cones", add_help=False, help="cone rays and optional SVG diagram")
     _add_common(sp)
-    sp.add_argument("-c", dest="codim", type=int, required=True, metavar="C",
+    sp.add_argument("-c", dest="codim", type=_int_flag, required=True, metavar="C",
                     help="cycle codimension")
     sp.add_argument("--svg", metavar="PATH", help="write a wedge diagram to PATH")
     sp.set_defaults(func=_cmd_cones)
 
     sp = sub.add_parser("sweep", add_help=False, help="margins over a twist range")
     _add_common(sp)
-    sp.add_argument("--h-max", dest="h_max", type=int, default=12, metavar="N",
+    sp.add_argument("--h-max", dest="h_max", type=_int_flag, default=12, metavar="N",
                     help=f"largest twist to report (default 12, at most {MAX_TWIST})")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("oracle", add_help=False,
                         help="brute-force cross-checks (needs a split bundle)")
     _add_common(sp)
-    sp.add_argument("--h-max", dest="h_max", type=int, default=8, metavar="N",
+    sp.add_argument("--h-max", dest="h_max", type=_int_flag, default=8, metavar="N",
                     help=f"largest twist to cross-check (default 8; 2^c * C(N + r, r) "
                          f"at most {MAX_ORACLE_WORK} for c entries in ci.k and rank r)")
     sp.set_defaults(func=_cmd_oracle)
@@ -475,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("example", add_help=False,
                         help="build and validate the candidate unstable family")
     _add_common(sp, instance=False)
-    sp.add_argument("--a", type=int, required=True,
+    sp.add_argument("--a", type=_int_flag, required=True,
                     help=f"top line-bundle degree (at most {MAX_K_SUM})")
-    sp.add_argument("--r", type=int, required=True, help=f"bundle rank (at most {MAX_RANK})")
-    sp.add_argument("--c", type=int, required=True, help="codimension")
-    sp.add_argument("--m", type=int, required=True,
+    sp.add_argument("--r", type=_int_flag, required=True, help=f"bundle rank (at most {MAX_RANK})")
+    sp.add_argument("--c", type=_int_flag, required=True, help="codimension")
+    sp.add_argument("--m", type=_int_flag, required=True,
                     help=f"system multiplier (at most {MAX_K_SUM})")
     sp.add_argument(
         "--orientation",
@@ -497,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for flag, dest, limit in _FLAG_LIMITS.get(args.command, ()):
             if getattr(args, dest) > limit:
-                raise InputError(f"{flag} {getattr(args, dest)} is above the limit {limit}")
+                raise InputError(f"{flag} {_shown(getattr(args, dest))} is above the limit {limit}")
         if args.command == "contact":
             echo, result = args.func(args)
         elif args.command == "example":

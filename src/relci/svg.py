@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import hypot
 
-from .bundles import ConeDescription
+from .bundles import ConeLabel
 
 __all__ = ["cone_diagram"]
 
@@ -39,8 +39,8 @@ def _ray_end(threshold: Fraction) -> tuple[float, float]:
     return (_ORIGIN[0] + _ARM / norm, _ORIGIN[1] + _ARM * t / norm)
 
 
-def cone_diagram(cones: list[ConeDescription], coincide: bool) -> str:
-    """Render the given cones (outermost first) as nested wedges."""
+def cone_diagram(codim: int, thresholds: dict[ConeLabel, Fraction], coincide: bool) -> str:
+    """Render the codim-c cones, given by threshold per label (outermost first), as wedges."""
     up = (_ORIGIN[0], _ORIGIN[1] - _ARM)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -51,19 +51,19 @@ def cone_diagram(cones: list[ConeDescription], coincide: bool) -> str:
         f'<line x1="{_fmt(_ORIGIN[0])}" y1="{_fmt(_ORIGIN[1] + 60)}" '
         f'x2="{_fmt(up[0])}" y2="{_fmt(up[1] - 20)}" stroke="#999" stroke-width="1"/>',
     ]
-    for cd in cones:
-        label = cd.label.value
-        end = _ray_end(cd.threshold)
+    for cone_label, t in thresholds.items():
+        label = cone_label.value
+        end = _ray_end(t)
         colour = _STYLE.get(label, "#555555")
         parts.append(
             f'<path d="M {_fmt(_ORIGIN[0])} {_fmt(_ORIGIN[1])} '
             f'L {_fmt(up[0])} {_fmt(up[1])} L {_fmt(end[0])} {_fmt(end[1])} Z" '
             f'fill="{colour}" fill-opacity="0.25" stroke="{colour}" '
-            f'stroke-width="1.5" data-label="{label}" data-slope="{cd.threshold}"/>'
+            f'stroke-width="1.5" data-label="{label}" data-slope="{t}"/>'
         )
         parts.append(
             f'<text x="{_fmt(end[0] + 6)}" y="{_fmt(end[1] + 4)}" '
-            f'font-size="13" fill="{colour}">{label}: t = {cd.threshold}</text>'
+            f'font-size="13" fill="{colour}">{label}: t = {t}</text>'
         )
     legend = (
         "all three cones coincide (semistable bundle)"
@@ -75,7 +75,7 @@ def cone_diagram(cones: list[ConeDescription], coincide: bool) -> str:
     )
     parts.append(
         f'<text x="20" y="24" font-size="14" fill="#333">'
-        f"codimension {cones[0].codim} cone wedges: rays H^(c-1)S and H^c - t H^(c-1)S</text>"
+        f"codimension {codim} cone wedges: rays H^(c-1)S and H^c - t H^(c-1)S</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -331,18 +331,18 @@ def test_criterion_9_cone_structure():
             bad.append((E, "slope sum"))
         unstable = len(E.hn) >= 2
         for c in range(1, E.rank):
-            nef = cone(E, c, ConeLabel.NEF).threshold
-            bridge = cone(E, c, ConeLabel.BRIDGE).threshold
-            pseff = cone(E, c, ConeLabel.PSEFF).threshold
+            nef = cone(E, c, ConeLabel.NEF)
+            bridge = cone(E, c, ConeLabel.BRIDGE)
+            pseff = cone(E, c, ConeLabel.PSEFF)
             if not nef <= bridge <= pseff:
                 bad.append((E, c, "nesting"))
             if unstable and not (nef < bridge < pseff):
                 bad.append((E, c, "strictness"))
             if not unstable and not (nef == bridge == pseff):
                 bad.append((E, c, "coincidence"))
-        if cone(E, 1, ConeLabel.NEF).threshold != E.mu_last:
+        if cone(E, 1, ConeLabel.NEF) != E.mu_last:
             bad.append((E, "c1 nef"))
-        if cone(E, 1, ConeLabel.PSEFF).threshold != E.mu_first:
+        if cone(E, 1, ConeLabel.PSEFF) != E.mu_first:
             bad.append((E, "c1 pseff"))
         k, m = rng.randint(1, 5), rng.randint(-10, 10)
         dp = mn_divisor_test(E, k, m)

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from relci import (
     BundleOverCurve,
@@ -79,9 +80,14 @@ class TestLineDegrees:
         assert BundleOverCurve(4, 4, hn=((2, 4), (2, 0))).line_degrees is None
         assert BundleOverCurve.semistable(4, 4).line_degrees is None
 
-    def test_not_a_constructor_parameter(self):
-        with pytest.raises(TypeError):
-            BundleOverCurve(4, 3, line_degrees=(0, 2, 1, 0))
+    def test_disagreeing_degrees_rejected(self):
+        with pytest.raises(InputError, match="line degrees disagree"):
+            BundleOverCurve(4, 4, 0, ((4, 4),), (2, 1, 1, 0))
+
+    def test_survives_replace(self):
+        assert replace(BundleOverCurve.split((1, 1, 1, 1)), base_genus=1) == BundleOverCurve.split(
+            (1, 1, 1, 1), 1
+        )
 
 
 class TestVirtualSlopes:
@@ -112,29 +118,24 @@ class TestVirtualSlopes:
 
 class TestCones:
     def test_split_thresholds_c2(self):
-        assert cone(SPLIT_210, 2, ConeLabel.PSEFF).ray2.q == -3
-        assert cone(SPLIT_210, 2, ConeLabel.NEF).ray2.q == -1
-        assert cone(SPLIT_210, 2, ConeLabel.BRIDGE).ray2.q == -2
-
-    def test_rays_shape(self):
-        cd = cone(SPLIT_210, 2, ConeLabel.PSEFF)
-        assert (cd.ray1.p, cd.ray1.q) == (0, 1)
-        assert cd.ray2.p == 1
+        assert cone(SPLIT_210, 2, ConeLabel.PSEFF) == 3
+        assert cone(SPLIT_210, 2, ConeLabel.NEF) == 1
+        assert cone(SPLIT_210, 2, ConeLabel.BRIDGE) == 2
 
     def test_semistable_coincide(self):
         E = BundleOverCurve.semistable(5, 7)
         for c in range(1, 5):
-            ts = {cone(E, c, lab).threshold for lab in ConeLabel}
+            ts = {cone(E, c, lab) for lab in ConeLabel}
             assert ts == {c * Fraction(7, 5)}
 
     def test_c1_matches_divisor_test(self):
         # codim-1 thresholds are the classical divisor bounds
-        assert cone(SPLIT_210, 1, ConeLabel.PSEFF).threshold == SPLIT_210.mu_first == 2
-        assert cone(SPLIT_210, 1, ConeLabel.NEF).threshold == SPLIT_210.mu_last == 0
+        assert cone(SPLIT_210, 1, ConeLabel.PSEFF) == SPLIT_210.mu_first == 2
+        assert cone(SPLIT_210, 1, ConeLabel.NEF) == SPLIT_210.mu_last == 0
 
     def test_bridge_without_hn(self):
         E = BundleOverCurve(4, 6)
-        assert cone(E, 3, ConeLabel.BRIDGE).threshold == Fraction(9, 2)
+        assert cone(E, 3, ConeLabel.BRIDGE) == Fraction(9, 2)
         with pytest.raises(InputError):
             cone(E, 3, ConeLabel.NEF)
 
@@ -146,9 +147,9 @@ class TestCones:
         for _ in range(100):
             E = make_hn_bundle(rng)
             for c in range(1, E.rank):
-                nef = cone(E, c, ConeLabel.NEF).threshold
-                bridge = cone(E, c, ConeLabel.BRIDGE).threshold
-                pseff = cone(E, c, ConeLabel.PSEFF).threshold
+                nef = cone(E, c, ConeLabel.NEF)
+                bridge = cone(E, c, ConeLabel.BRIDGE)
+                pseff = cone(E, c, ConeLabel.PSEFF)
                 assert nef <= bridge <= pseff
                 if len(E.hn) >= 2:
                     assert nef < bridge < pseff
@@ -241,3 +242,45 @@ class TestClassify:
         }
         for ratio, region in expected.items():
             assert classify(SPLIT_210, CycleClass(2, 1, -ratio)) is region
+
+
+def chained_region(ratio, nef_t, bridge_t, pseff_t):
+    """The seven-way comparison that ``classify`` made before its ordered lookup."""
+    if ratio < nef_t:
+        return Region.INSIDE_NEF
+    if ratio == nef_t:
+        return Region.NEF_BOUNDARY
+    if ratio < bridge_t:
+        return Region.INSIDE_BRIDGE_OUTSIDE_NEF
+    if ratio == bridge_t:
+        return Region.BRIDGE_BOUNDARY
+    if ratio < pseff_t:
+        return Region.INSIDE_PSEFF_OUTSIDE_BRIDGE
+    if ratio == pseff_t:
+        return Region.PSEFF_BOUNDARY
+    return Region.OUTSIDE_PSEFF
+
+
+@st.composite
+def classified_classes(draw):
+    """A bundle with a profile (half of them semistable), a codimension, its
+    thresholds from the virtual slopes, and a ratio that is often one of them."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-15, 15)), min_size=1,
+                           max_size=4, unique_by=lambda b: Fraction(b[1], b[0])))
+    blocks.sort(key=lambda b: Fraction(b[1], b[0]), reverse=True)
+    rank, degree = sum(r for r, _ in blocks), sum(d for _, d in blocks)
+    assume(rank >= 2)
+    E = BundleOverCurve.semistable(rank, degree) if draw(st.booleans()) else BundleOverCurve(
+        rank, degree, hn=blocks)
+    c = draw(st.integers(1, rank - 1))
+    slopes = virtual_slopes(E)
+    ts = (sum(slopes[-c:]), c * E.slope, sum(slopes[:c]))
+    ratio = draw(st.sampled_from(ts) | st.fractions(-80, 80, max_denominator=12))
+    return E, c, ts, ratio
+
+
+class TestRegionLookup:
+    @given(classified_classes(), st.fractions(Fraction(1, 9), 9))
+    def test_matches_the_comparison_chain(self, drawn, p):
+        E, c, ts, ratio = drawn
+        assert classify(E, CycleClass(c, p, -ratio * p)) is chained_region(ratio, *ts)

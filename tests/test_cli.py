@@ -786,6 +786,8 @@ LONG_INPUTS = {
                     "bundle must be an object, got a list of length 200000"),
     "rank_digits": ("verdict", {**INSTANCE, "bundle": {"rank": NINES, "degree": 4}},
                     "bundle.rank an int of 4300 digits is above the limit"),
+    "rank_negative": ("verdict", {**INSTANCE, "bundle": {"rank": -NINES, "degree": 4}},
+                      "bundle rank must be >= 2, got an int of 4300 digits"),
     "rank_text": ("verdict", {**INSTANCE, "bundle": {"rank": "x" * 10**6, "degree": 4}},
                   "bundle.rank: expected an integer, got a str of length 1000000"),
     "e_f": ("contact", {"weights": ["1"] * 4, "y": {"dim": 1, "deg": 2, "e_f": "1" * 500_000},
@@ -818,6 +820,29 @@ class TestLongInputsInMessages:
         path.write_text(json.dumps({**INSTANCE, "bundle": bundle}), encoding="utf-8")
         code, _, err = run_main(capsys, "verdict", "-i", str(path))
         assert code == 2 and err.endswith(f"{tail}\n")
+
+    @pytest.mark.parametrize("rank", [1, -(10**59)])
+    def test_short_rank_prints_whole(self, capsys, tmp_path, rank):
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps({**INSTANCE, "bundle": {"rank": rank, "degree": 4}}), encoding="utf-8")
+        code, _, err = run_main(capsys, "verdict", "-i", str(path))
+        assert (code, err) == (2, f"relci: invalid input: bundle rank must be >= 2, got {rank}\n")
+
+    # argparse prints its usage line before the message
+    @pytest.mark.parametrize("value, line", [
+        ("9" * 100_000, "relci invariants: error: argument -h: invalid int value: a str of length 100000"),
+        ("9" * 4000, "relci: invalid input: -h an int of 4000 digits is above the limit 10000"),
+        ("abc", "relci invariants: error: argument -h: invalid int value: 'abc'"),
+    ], ids=["not_an_int", "above_the_limit", "short"])
+    def test_integer_flag(self, capsys, worked_file, value, line):
+        try:
+            code = main(["invariants", "-i", worked_file, "-h", value])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\n{line}\n") or err == f"{line}\n"
+        assert len(err.encode()) < 300
 
 
 # Any JSON value, with integers kept small: the caps on work are not under test.

@@ -7,9 +7,12 @@ profile, the balanced canonical gate, the instability excess, eventual
 signs that disagree with alpha), the ``example`` family in both
 orientations, and split lists that do not fit the rest of the bundle
 (exit 2, each message naming the first inconsistency in file order),
-and ``sweep`` on the three benchmark ladder rungs.  A ladder report is
-pinned by the byte length and sha256 of its stdout, since rung W's runs
-to 276 KB.  ``--help`` is left out: argparse wraps it to the terminal.
+``sweep`` on the three benchmark ladder rungs, and ``cones --svg`` on
+some demo instances.  A ladder report is pinned by the byte length and
+sha256 of its stdout, since rung W's runs to 276 KB; a ``--svg`` case by
+the byte length and sha256 of the drawing it writes, in place of its
+stdout, which names the drawing's path.  ``--help`` is left out:
+argparse wraps it to the terminal.
 
 Regenerate the expected file only after a deliberate report change::
 
@@ -82,6 +85,9 @@ LADDER = {
     "L": (_instance(80, 17, range(2, 42), range(-20, 20)), 100),
 }
 
+# (demo instance, codimension) drawn by ``cones --svg``
+SVGS = [("split210.json", 1), ("split210.json", 2), ("unstable.json", 2), ("worked.json", 1)]
+
 EXAMPLES = [(1, 4, 2, 2), (2, 5, 3, 1), (1, 3, 1, 1), (3, 6, 2, 3), (2, 3, 1, 2), (0, 4, 2, 1)]
 
 
@@ -107,6 +113,9 @@ def _cases():
     for name, (doc, h_max) in LADDER.items():
         argv = ["sweep", "--h-max", str(h_max)]
         out.append((f"ladder_{name} {' '.join(argv)}", argv, doc))
+    for name, c in SVGS:
+        doc = json.loads((INSTANCES / name).read_text(encoding="utf-8"))
+        out.append((f"{name} cones -c {c} --svg", ["cones", "-c", str(c), "--svg"], doc))
     for a, r, c, m in EXAMPLES:
         for orientation in ("as-written", "swapped"):
             argv = ["example", "--a", str(a), "--r", str(r), "--c", str(c), "--m", str(m),
@@ -118,7 +127,14 @@ def _cases():
 CASES = _cases()
 
 
+def _digest(data):
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
 def run_case(argv, doc, workdir, digest=False):
+    svg = Path(workdir) / "cones.svg"
+    if argv[-1] == "--svg":
+        argv = [*argv, str(svg)]
     if doc is not None:
         path = Path(workdir) / "instance.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -128,9 +144,10 @@ def run_case(argv, doc, workdir, digest=False):
         code = main(argv)
     got = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
     if digest:
-        stdout = got.pop("stdout").encode("utf-8")
-        got["stdout_bytes"] = len(stdout)
-        got["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        got["stdout_bytes"], got["stdout_sha256"] = _digest(got.pop("stdout").encode("utf-8"))
+    if str(svg) in argv:
+        del got["stdout"]
+        got["svg_bytes"], got["svg_sha256"] = _digest(svg.read_bytes())
     return got
 
 
