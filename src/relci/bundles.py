@@ -22,13 +22,13 @@ nefness bounds mu_1 and mu_last for divisors k*H - m*S.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 __all__ = [
     "BundleOverCurve",
@@ -56,8 +56,7 @@ def split_hn_blocks(line_degrees: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((len(run), sum(run)) for run in runs)
 
 
-@dataclass(frozen=True)
-class BundleOverCurve:
+class BundleOverCurve(namedtuple("BundleOverCurve", "rank degree base_genus hn line_degrees")):
     """Numerical data of a vector bundle E on a smooth projective curve.
 
     Only rank, degree and (optionally) the Harder-Narasimhan profile
@@ -67,36 +66,36 @@ class BundleOverCurve:
     single-block profile ``((rank, degree),)``.  ``line_degrees`` are the
     summand degrees of a direct sum of line bundles (in input order, as
     ``split`` sets them), which the brute-force oracles need; they must
-    induce ``hn``.
+    induce ``hn``.  A tuple, like every value type of the package: ``==``
+    is tuple equality, and ``_replace`` validates as the constructor does.
     """
 
-    rank: int
-    degree: int
-    base_genus: int = 0
-    hn: tuple[tuple[int, int], ...] | None = None
-    line_degrees: tuple[int, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise InputError(f"bundle rank must be >= 2, got {self.rank}")
-        if self.base_genus < 0:
+    def __new__(cls, rank: int, degree: int, base_genus: int = 0,
+                hn: tuple[tuple[int, int], ...] | None = None,
+                line_degrees: tuple[int, ...] | None = None) -> "BundleOverCurve":
+        if rank < 2:
+            raise InputError(f"bundle rank must be >= 2, got {shown(rank)}")
+        if base_genus < 0:
             raise InputError("base genus must be >= 0")
-        if self.hn is not None:
-            hn = tuple((int(r), int(d)) for r, d in self.hn)
-            object.__setattr__(self, "hn", hn)
+        if hn is not None:
+            hn = tuple((int(r), int(d)) for r, d in hn)
             if any(r < 1 for r, _ in hn):
                 raise InputError("hn block ranks must be >= 1")
-            if sum(r for r, _ in hn) != self.rank:
+            if sum(r for r, _ in hn) != rank:
                 raise InputError("hn block ranks must sum to the bundle rank")
-            if sum(d for _, d in hn) != self.degree:
+            if sum(d for _, d in hn) != degree:
                 raise InputError("hn block degrees must sum to the bundle degree")
             # d/r is the rank-weighted mean of these, so it lies between the extremes
             slopes = [Fraction(d, r) for r, d in hn]
             if any(a <= b for a, b in zip(slopes, slopes[1:])):
                 raise InputError("hn block slopes must be strictly decreasing")
         # the blocks sum to (rank, degree), so this pins the summand count and sum too
-        if self.line_degrees is not None and split_hn_blocks(self.line_degrees) != self.hn:
+        if line_degrees is not None and split_hn_blocks(line_degrees) != hn:
             raise InputError("line degrees disagree with the Harder-Narasimhan profile")
+        return super().__new__(cls, rank, degree, base_genus, hn, line_degrees)
 
     @classmethod
     def semistable(cls, rank: int, degree: int, base_genus: int = 0) -> "BundleOverCurve":
@@ -153,19 +152,17 @@ def virtual_slopes(bundle: BundleOverCurve) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(namedtuple("CycleClass", "codim p q")):
     """A codimension-c numerical class p*H^c + q*H^(c-1)S."""
 
-    codim: int
-    p: Fraction
-    q: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.codim < 1:
+    def __new__(cls, codim: int, p: Fraction | int, q: Fraction | int) -> "CycleClass":
+        p, q = Fraction(p), Fraction(q)
+        if codim < 1:
             raise InputError("cycle codimension must be >= 1")
+        return super().__new__(cls, codim, p, q)
 
 
 class ConeLabel(str, Enum):
@@ -185,7 +182,7 @@ def cone(bundle: BundleOverCurve, c: int, label: ConeLabel) -> Fraction:
     (rank, degree); the other two need the Harder-Narasimhan profile.
     """
     if not 1 <= c <= bundle.rank - 1:
-        raise InputError(f"codimension {c} out of range 1..{bundle.rank - 1}")
+        raise InputError(f"codimension {shown(c)} out of range 1..{bundle.rank - 1}")
     label = ConeLabel(label)
     if label is ConeLabel.BRIDGE:
         return c * bundle.slope

@@ -43,7 +43,6 @@ import argparse
 import json
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -52,7 +51,7 @@ from typing import Any
 from . import __version__
 from .bundles import BundleOverCurve, ConeLabel, classify, cone
 from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_intersection
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, shown
 from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
@@ -85,20 +84,9 @@ _FLAG_LIMITS = {
 # no decimal point or exponent: the length of the text bounds the size of the number
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-_SHOWN = 60  # the longest input a message repeats whole
-
 
 def _sign_word(value: Any) -> str:
     return "positive" if value > 0 else "negative" if value < 0 else "zero"
-
-
-def _shown(value: Any) -> str:
-    """An input value as a message repeats it: whole when short, else its type and size."""
-    if type(value) is int:  # sized with no decimal text: a sum can pass the output limit
-        digits = Decimal(value).adjusted() + 1
-        return repr(value) if digits <= _SHOWN else f"an int of {digits} digits"
-    text = repr(value)
-    return text if len(text) <= _SHOWN else f"a {type(value).__name__} of length {len(value)}"
 
 
 def _int_flag(text: str) -> int:
@@ -106,7 +94,7 @@ def _int_flag(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _enc(value: Any) -> Any:
@@ -142,19 +130,19 @@ def _rat(value: Any, field: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{field}: not a rational: {_shown(value)}") from exc
+        raise InputError(f"{field}: not a rational: {shown(value)}") from exc
 
 
 def _int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field}: expected an integer, got {_shown(value)}")
+        raise InputError(f"{field}: expected an integer, got {shown(value)}")
     return value
 
 
 def _shaped(value: Any, kind: type, field: str) -> Any:
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
-        raise InputError(f"{field} must be {noun}, got {_shown(value)}")
+        raise InputError(f"{field} must be {noun}, got {shown(value)}")
     return value
 
 
@@ -194,14 +182,14 @@ def instance_from_json(data: Any) -> RelativeCI:
         # BundleOverCurve.split rejects an empty list itself
         if degs and (len(degs), sum(degs)) != (rank, degree):
             raise InputError(
-                f"bundle.split implies (rank, degree) = ({len(degs)}, {_shown(sum(degs))}), "
-                f"file says ({_shown(rank)}, {_shown(degree)})"
+                f"bundle.split implies (rank, degree) = ({len(degs)}, {shown(sum(degs))}), "
+                f"file says ({shown(rank)}, {shown(degree)})"
             )
-    # here, not in BundleOverCurve, so that a long rank is named by its size
+    # both rank bounds before the bundle is built, so an empty split is named after the rank
     if rank < 2:
-        raise InputError(f"bundle rank must be >= 2, got {_shown(rank)}")
+        raise InputError(f"bundle rank must be >= 2, got {shown(rank)}")
     if rank > MAX_RANK:
-        raise InputError(f"bundle.rank {_shown(rank)} is above the limit {MAX_RANK}")
+        raise InputError(f"bundle.rank {shown(rank)} is above the limit {MAX_RANK}")
     if degs is None:
         bundle = BundleOverCurve(rank, degree, genus, hn)
     else:
@@ -213,7 +201,7 @@ def instance_from_json(data: Any) -> RelativeCI:
     if not k:
         raise InputError("ci.k must be a nonempty list")
     if sum(k) > MAX_K_SUM:
-        raise InputError(f"ci.k sums to {_shown(sum(k))}, above the limit {MAX_K_SUM}")
+        raise InputError(f"ci.k sums to {shown(sum(k))}, above the limit {MAX_K_SUM}")
     return RelativeCI(bundle, k, y)
 
 
@@ -502,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for flag, dest, limit in _FLAG_LIMITS.get(args.command, ()):
             if getattr(args, dest) > limit:
-                raise InputError(f"{flag} {_shown(getattr(args, dest))} is above the limit {limit}")
+                raise InputError(f"{flag} {shown(getattr(args, dest))} is above the limit {limit}")
         if args.command == "contact":
             echo, result = args.func(args)
         elif args.command == "example":

@@ -21,11 +21,11 @@ input is strict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, shown
 
 __all__ = [
     "ContactInstance",
@@ -37,35 +37,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContactInstance:
+class ContactInstance(namedtuple("ContactInstance", "ambient_n dim deg e_f")):
     """Dimension, degree and degree of contact of a subvariety of P^n."""
 
-    ambient_n: int
-    dim: int
-    deg: int
-    e_f: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e_f", Fraction(self.e_f))
-        if not 0 <= self.dim <= self.ambient_n:
-            raise InputError(f"dimension {self.dim} out of range 0..{self.ambient_n}")
-        if self.deg < 1:
-            raise InputError(f"degree must be >= 1, got {self.deg}")
+    def __new__(cls, ambient_n: int, dim: int, deg: int, e_f: Fraction | int) -> "ContactInstance":
+        e_f = Fraction(e_f)
+        if not 0 <= dim <= ambient_n:
+            raise InputError(f"dimension {shown(dim)} out of range 0..{ambient_n}")
+        if deg < 1:
+            raise InputError(f"degree must be >= 1, got {shown(deg)}")
+        return super().__new__(cls, ambient_n, dim, deg, e_f)
 
 
-@dataclass(frozen=True)
-class WeightFiltration:
+class WeightFiltration(namedtuple("WeightFiltration", "weights")):
     """Nonnegative weights r_0..r_n of a one-parameter subgroup, not all zero."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        if any(w < 0 for w in self.weights):
+    def __new__(cls, weights: tuple[Fraction | int, ...]) -> "WeightFiltration":
+        weights = tuple(Fraction(w) for w in weights)
+        if any(w < 0 for w in weights):
             raise InputError("weights must be >= 0")
-        if not any(self.weights):
+        if not any(weights):
             raise InputError("weights must not all vanish")
+        return super().__new__(cls, weights)
 
     @property
     def ambient_n(self) -> int:

@@ -3,10 +3,24 @@
 The split matters for the command line front end, which maps each class
 to a distinct exit code: invalid input (2), failed internal exact-identity
 check (3).  Oracle mismatches are reported by the ``oracle`` subcommand
-itself (exit code 4) and carry no dedicated exception.
+itself (exit code 4) and carry no dedicated exception.  ``shown`` keeps
+their messages short: one line, whatever the size of the input.
 """
 
-__all__ = ["InputError", "HypothesisError", "InternalCheckError"]
+from decimal import Decimal
+
+__all__ = ["InputError", "HypothesisError", "InternalCheckError", "shown"]
+
+_SHOWN = 60  # the longest input a message repeats whole
+
+
+def shown(value: object) -> str:
+    """An input value as a message repeats it: whole when short, else its type and size."""
+    if type(value) is int:  # sized with no decimal text: a sum can pass the output limit
+        digits = Decimal(value).adjusted() + 1
+        return repr(value) if digits <= _SHOWN else f"an int of {digits} digits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"a {type(value).__name__} of length {len(value)}"
 
 
 class InputError(ValueError):

@@ -42,14 +42,15 @@ Everything here is an exact integer or rational identity in the data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, prod
+from typing import NamedTuple
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
-from .errors import HypothesisError, InputError, InternalCheckError
+from .errors import HypothesisError, InputError, InternalCheckError, shown
 from .exact import RatPoly, binom_trunc, signed_subset_tables
 
 __all__ = [
@@ -75,33 +76,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelativeCI:
+class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
     """A codimension-c complete intersection in the projective bundle of E.
 
     ``k[i]`` is the tautological degree of the i-th hypersurface and
     ``y[i]`` the degree of its base-curve twist.  Requires
     1 <= c <= rank - 2 (so the fibres have positive dimension) and
-    every k[i] >= 2.
+    every k[i] >= 2.  No ``__slots__``: the cached properties below
+    live in the instance ``__dict__``, outside ``==`` and ``hash``.
     """
 
-    bundle: BundleOverCurve
-    k: tuple[int, ...]
-    y: tuple[int, ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-        if len(self.k) != len(self.y):
+    def __new__(cls, bundle: BundleOverCurve, k: tuple[int, ...], y: tuple[int, ...]) -> "RelativeCI":
+        k, y = tuple(int(v) for v in k), tuple(int(v) for v in y)
+        if len(k) != len(y):
             raise InputError("k and y must have the same length")
-        c = len(self.k)
-        if not 1 <= c <= self.bundle.rank - 2:
+        if not 1 <= len(k) <= bundle.rank - 2:
             raise InputError(
-                f"codimension {c} out of range 1..{self.bundle.rank - 2} "
-                f"for rank {self.bundle.rank}"
+                f"codimension {len(k)} out of range 1..{bundle.rank - 2} for rank {bundle.rank}"
             )
-        if any(ki < 2 for ki in self.k):
+        if any(ki < 2 for ki in k):
             raise InputError("every hypersurface degree k_i must be >= 2")
+        return super().__new__(cls, bundle, k, y)
+
+    def __setattr__(self, name: str, value: object) -> None:  # else a cached property would take it
+        raise AttributeError(f"cannot set {name!r}: RelativeCI is immutable")
 
     @property
     def codim(self) -> int:
@@ -160,8 +160,7 @@ class RelativeCI:
         return {"run": ((), ())}
 
 
-@dataclass(frozen=True)
-class PushforwardSummary:
+class PushforwardSummary(NamedTuple):
     """Rank and degree of the pushforward of O_X(h) along f."""
 
     h: int
@@ -198,7 +197,7 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     the longest run of ``positivity_margins`` so far is read off that run.
     """
     if h < 0:
-        raise InputError(f"twist h must be >= 0, got {h}")
+        raise InputError(f"twist h must be >= 0, got {shown(h)}")
     memo = X._memo
     pf = memo.get(h)
     if pf is None:
@@ -263,7 +262,7 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
     them over, so each margin is the one ``positivity_margin`` returns.
     """
     if h_max < 1:
-        raise InputError(f"h_max must be >= 1, got {h_max}")
+        raise InputError(f"h_max must be >= 1, got {shown(h_max)}")
     memo = X._memo
     ranks, degrees = memo["run"]
     if len(ranks) <= h_max:
@@ -364,8 +363,7 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     """Relative canonical class K_f = h_coeff * H_X - fibre_coeff * F."""
 
     h_coeff: int
@@ -467,8 +465,7 @@ def balanced_margin(X: RelativeCI, h: int) -> int:
     return alpha_invariant(X) * (h * first - n * k * second)
 
 
-@dataclass(frozen=True)
-class SurfaceFormulaReport:
+class SurfaceFormulaReport(NamedTuple):
     """Closed surface formulas (c = r - 2, balanced) versus direct values.
 
     ``kf2_formula`` and ``deg_omega_formula`` are the closed forms in

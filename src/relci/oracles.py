@@ -23,12 +23,12 @@ Enumeration sizes grow like binom(h + r - 1, r - 1); the intended range
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 from .bundles import BundleOverCurve, CycleClass
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, shown
 from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
@@ -149,8 +149,7 @@ class ChowClass:
         return f"ChowClass(codim={self.codim}, u={self.u}, v={self.v})"
 
 
-@dataclass(frozen=True)
-class ChowSummary:
+class ChowSummary(NamedTuple):
     """Intersection numbers recomputed symbolically, bypassing closed forms."""
 
     h_top: int
@@ -201,7 +200,7 @@ def cross_check(X: RelativeCI, h_max: int) -> tuple[dict[str, int], list[dict]]:
     suite and one entry per disagreement (empty when all agree).
     """
     if h_max < 0:
-        raise InputError(f"h_max must be >= 0, got {h_max}")
+        raise InputError(f"h_max must be >= 0, got {shown(h_max)}")
     r, d = X.rank, X.degree
     checks = {"sym_closed_form": 0, "koszul_vs_degree": 0, "hilbert_vs_rank": 0, "chow_vs_closed_forms": 0}
     mismatches: list[dict] = []

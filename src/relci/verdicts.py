@@ -24,13 +24,13 @@ disagreement with the classical rule stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .bundles import BundleOverCurve, mn_divisor_test
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, shown
 from .exact import RatPoly
 from .invariants import (
     RelativeCI,
@@ -56,26 +56,32 @@ __all__ = [
 
 _NO_CONCLUSION = ("Undetermined", "NoConclusion")
 _EVENTUAL_LABEL = {1: "StrictlyFPositiveEventually", -1: "NotFPositiveEventually", 0: "Boundary"}
+_REPORT_FIELDS = ("theorem", "hypotheses", "conclusion", "witnesses")
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(namedtuple("VerdictReport", _REPORT_FIELDS)):
     """A theorem-level conclusion with its gates (name to flag) and exact witnesses.
 
-    Its fields are the report that ``relci verdict`` and ``relci example`` print.
+    Its fields are the report that ``relci verdict`` and ``relci example``
+    print, and ``vars(report)`` gives them by name.
     """
 
-    theorem: str
-    hypotheses: dict[str, bool]
-    conclusion: str
-    witnesses: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
-        if not self.hypotheses_ok and self.conclusion not in _NO_CONCLUSION:
+    def __new__(cls, theorem: str, hypotheses: dict[str, bool], conclusion: str,
+                witnesses: dict[str, Any] | None = None) -> "VerdictReport":
+        witnesses = {} if witnesses is None else witnesses
+        self = super().__new__(cls, theorem, hypotheses, conclusion, witnesses)
+        if not self.hypotheses_ok and conclusion not in _NO_CONCLUSION:
             raise InternalCheckError(
-                f"verdict {self.theorem!r} concluded {self.conclusion!r} "
-                f"with a failed hypothesis"
+                f"verdict {theorem!r} concluded {conclusion!r} with a failed hypothesis"
             )
+        return self
+
+    @property
+    def __dict__(self) -> dict[str, Any]:
+        return dict(zip(_REPORT_FIELDS, self))
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -248,7 +254,7 @@ def build_example(
     if r < 3:
         raise InputError("family needs rank >= 3")
     if not 1 <= c <= r - 2:
-        raise InputError(f"codimension {c} out of range 1..{r - 2}")
+        raise InputError(f"codimension {shown(c)} out of range 1..{r - 2}")
     orientation = Orientation(orientation)
     bundle = BundleOverCurve(
         rank=r,
@@ -283,8 +289,7 @@ def build_example(
     return bundle, X, report
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Cleared margins for h = 1..h_max plus exact stabilisation data."""
 
     margins: tuple[int, ...]

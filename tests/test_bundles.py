@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -85,7 +84,7 @@ class TestLineDegrees:
             BundleOverCurve(4, 4, 0, ((4, 4),), (2, 1, 1, 0))
 
     def test_survives_replace(self):
-        assert replace(BundleOverCurve.split((1, 1, 1, 1)), base_genus=1) == BundleOverCurve.split(
+        assert BundleOverCurve.split((1, 1, 1, 1))._replace(base_genus=1) == BundleOverCurve.split(
             (1, 1, 1, 1), 1
         )
 

@@ -5,7 +5,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -391,7 +390,7 @@ class TestOracleCanFail:
 
         def off_by_one(X, h):
             pf = true_pushforward(X, h)
-            return replace(pf, degree=pf.degree + 1)
+            return pf._replace(degree=pf.degree + 1)
 
         monkeypatch.setattr(oracles, "pushforward", off_by_one)
         X = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
@@ -462,7 +461,7 @@ class TestEachTwistOnce:
 
         def off_by_one(X, h):
             pf = true_sum(X, h)
-            return replace(pf, degree=pf.degree + 1)
+            return pf._replace(degree=pf.degree + 1)
 
         rebind(monkeypatch, true_sum, off_by_one)
         code, out, err = run_main(capsys, "sweep", "-i", worked_file, "--h-max", "40")
@@ -793,6 +792,12 @@ LONG_INPUTS = {
     "e_f": ("contact", {"weights": ["1"] * 4, "y": {"dim": 1, "deg": 2, "e_f": "1" * 500_000},
                         "z": {"dim": 2, "deg": 3, "e_f": "6"}},
             "y.e_f: not a rational: a str of length 500000"),
+    "contact_dim": ("contact", {"weights": ["1"] * 4, "y": {"dim": NINES, "deg": 2, "e_f": "1"},
+                                "z": {"dim": 2, "deg": 3, "e_f": "6"}},
+                    "dimension an int of 4300 digits out of range 0..3"),
+    "contact_deg": ("contact", {"weights": ["1"] * 4, "y": {"dim": 1, "deg": -NINES, "e_f": "1"},
+                                "z": {"dim": 2, "deg": 3, "e_f": "6"}},
+                    "degree must be >= 1, got an int of 4300 digits"),
 }
 
 
@@ -827,6 +832,21 @@ class TestLongInputsInMessages:
         path.write_text(json.dumps({**INSTANCE, "bundle": {"rank": rank, "degree": 4}}), encoding="utf-8")
         code, _, err = run_main(capsys, "verdict", "-i", str(path))
         assert (code, err) == (2, f"relci: invalid input: bundle rank must be >= 2, got {rank}\n")
+
+    # flags that only the library bounds: the library names the value by its size
+    @pytest.mark.parametrize("argv, words", [
+        (["cones", "-c", "9" * 4000], "codimension an int of 4000 digits out of range 1..3"),
+        (["example", "--a", "1", "--r", "4", "--m", "1", "--c", "9" * 4000],
+         "codimension an int of 4000 digits out of range 1..2"),
+        (["invariants", "-h", "-" + "9" * 4000], "twist h must be >= 0, got an int of 4000 digits"),
+        (["sweep", "--h-max", "-" + "9" * 4000], "h_max must be >= 1, got an int of 4000 digits"),
+        (["oracle", "--h-max", "-" + "9" * 4000], "h_max must be >= 0, got an int of 4000 digits"),
+    ], ids=["cones", "example", "invariants", "sweep", "oracle"])
+    def test_library_flag_messages(self, capsys, worked_file, argv, words):
+        instance = [] if argv[0] == "example" else ["-i", worked_file]
+        code, out, err = run_main(capsys, *argv, *instance)
+        assert (code, out, err) == (2, "", f"relci: invalid input: {words}\n")
+        assert len(err.encode()) < 200
 
     # argparse prints its usage line before the message
     @pytest.mark.parametrize("value, line", [

@@ -1,0 +1,105 @@
+"""Value types are tuples: immutable, validated on ``_replace``, cheap to define.
+
+Every value type of the package is a named tuple.  Its fields cannot be
+assigned, and ``_replace`` on a validated type runs the constructor's
+checks.  The memo of a ``RelativeCI`` lives outside its fields, so it
+takes no part in ``==`` or ``hash``.  Importing the front end loads
+neither ``dataclasses`` nor ``inspect``, which a cold ``relci`` process
+would otherwise pay for.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from relci import (
+    BundleOverCurve,
+    ContactInstance,
+    CycleClass,
+    InputError,
+    InternalCheckError,
+    RelativeCI,
+    VerdictReport,
+    WeightFiltration,
+    canonical_class,
+    chow_expand,
+    h_sweep,
+    positivity_margins,
+    pushforward,
+    surface_formula_check,
+)
+
+
+def worked() -> RelativeCI:
+    return RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+
+
+X = worked()
+VALUES = {
+    "BundleOverCurve": (X.bundle, "rank"),
+    "CycleClass": (CycleClass(1, 1, 0), "p"),
+    "RelativeCI": (X, "k"),
+    "ContactInstance": (ContactInstance(3, 1, 2, 4), "deg"),
+    "WeightFiltration": (WeightFiltration((1, 1, 1, 1)), "weights"),
+    "VerdictReport": (VerdictReport("T", {}, "C"), "conclusion"),
+    "PushforwardSummary": (pushforward(X, 2), "rank"),
+    "CanonicalClass": (canonical_class(X), "h_coeff"),
+    "SurfaceFormulaReport": (surface_formula_check(X), "ratio_holds"),
+    "ChowSummary": (chow_expand(X), "kf_top"),
+    "SweepResult": (h_sweep(X, 3), "margins"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_fields_cannot_be_assigned(name):
+    value, field = VALUES[name]
+    assert type(value).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_cached_properties_cannot_be_assigned():
+    with pytest.raises(AttributeError):
+        worked().k_prod = 0
+
+
+@pytest.mark.parametrize("value, change, error", [
+    (X.bundle, {"rank": 1}, InputError),
+    (CycleClass(1, 1, 0), {"codim": 0}, InputError),
+    (X, {"k": (3, 1)}, InputError),
+    (ContactInstance(3, 1, 2, 4), {"deg": 0}, InputError),
+    (WeightFiltration((1, 1)), {"weights": (0, 0)}, InputError),
+    (VerdictReport("T", {"gate": False}, "Undetermined"), {"conclusion": "C"}, InternalCheckError),
+], ids=["BundleOverCurve", "CycleClass", "RelativeCI", "ContactInstance", "WeightFiltration",
+        "VerdictReport"])
+def test_replace_validates(value, change, error):
+    with pytest.raises(error):
+        value._replace(**change)
+
+
+def test_replace_coerces_as_the_constructor_does():
+    assert type(CycleClass(1, 1, 0)._replace(q=1).q) is Fraction
+    assert X._replace(k=[3, 3]).k == (3, 3)
+
+
+def test_memo_stays_out_of_equality_and_hash():
+    fresh, used = worked(), worked()
+    positivity_margins(used, 5)
+    pushforward(used, 9)
+    assert used._memo != fresh._memo
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used._replace(y=(1, 2))._memo == fresh._memo  # a new value starts with no memo
+
+
+def test_front_end_import_loads_neither_dataclasses_nor_inspect(child_env):
+    # against the interpreter's own start, so a site hook that loads modules cannot matter
+    code = ("import json, sys; before = set(sys.modules); import relci.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "relci.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
