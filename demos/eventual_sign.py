@@ -57,7 +57,7 @@ for h in (1,):
 
 sweep = h_sweep(X, 12)
 print("margins h=1..12:", list(sweep.margins))
-print("stable polynomial:", sweep.stable_poly)
+print("stable polynomial coefficients:", [str(a) for a in sweep.stable_poly])
 print("sign constant from h >", sweep.sign_stable_from, " eventual sign:", sweep.eventual_sign)
 
 # %%
@@ -72,7 +72,7 @@ lead = Fraction(
     2 * r * factorial(n - 1),
 )
 print("predicted leading coefficient:", lead)
-print("closed-form leading coefficient:", stable_margin_poly(X).leading)
+print("closed-form leading coefficient:", stable_margin_poly(X)[-1])
 
 # %%
 # The verdict follows the exact sign (NotFPositiveEventually) and keeps

@@ -85,6 +85,11 @@ _FLAG_LIMITS = {
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _fields(report: tuple) -> dict[str, Any]:
+    """A ``VerdictReport``'s fields by name, as ``verdict`` and ``example`` print them."""
+    return dict(zip(("theorem", "hypotheses", "conclusion", "witnesses"), report, strict=True))
+
+
 def _sign_word(value: Any) -> str:
     return "positive" if value > 0 else "negative" if value < 0 else "zero"
 
@@ -290,10 +295,10 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
         cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
     return {
-        "small_h": vars(small_h_verdict(X)),
-        "asymptotic": vars(asymptotic_verdict(X)),
-        "slope": vars(slope_verdict(X)),
-        "instability": vars(instability_verdict(X)),
+        "small_h": _fields(small_h_verdict(X)),
+        "asymptotic": _fields(asymptotic_verdict(X)),
+        "slope": _fields(slope_verdict(X)),
+        "instability": _fields(instability_verdict(X)),
         "cone": cone_part,
     }
 
@@ -331,7 +336,7 @@ def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
             {"h": h, "e_cleared": margin, "sign": _sign_word(margin)}
             for h, margin in enumerate(sweep.margins, 1)
         ],
-        "stable_poly_coeffs": list(sweep.stable_poly.coeffs),
+        "stable_poly_coeffs": list(sweep.stable_poly),
         "sign_stable_from": sweep.sign_stable_from,
         "eventual_sign": _sign_word(sweep.eventual_sign),
     }
@@ -341,11 +346,12 @@ def _cmd_oracle(X: RelativeCI, args: argparse.Namespace) -> dict:
     if X.bundle.line_degrees is None:
         raise InputError("oracle runs need a split bundle (bundle.split in the file)")
     h_max = args.h_max
-    work = 2**X.codim * binom_trunc(h_max + X.rank, X.rank)
-    if work > MAX_ORACLE_WORK:
+    # from h_max = MAX_ORACLE_WORK on, 2^c * C(h_max + r, r) >= 2 * (h_max + r) is past it too
+    work = 2**X.codim * binom_trunc(h_max + X.rank, X.rank) if h_max < MAX_ORACLE_WORK else None
+    if work is None or work > MAX_ORACLE_WORK:
         raise InputError(
-            f"oracle work 2^{X.codim} * C({h_max} + {X.rank}, {X.rank}) = {work} "
-            f"is above the limit {MAX_ORACLE_WORK}"
+            f"oracle work 2^{X.codim} * C({shown(h_max)} + {X.rank}, {X.rank})"
+            f"{'' if work is None else f' = {shown(work)}'} is above the limit {MAX_ORACLE_WORK}"
         )
     checks, mismatches = cross_check(X, h_max)
     return {
@@ -398,7 +404,7 @@ def _cmd_example(args: argparse.Namespace) -> dict:
             "hn": [{"rank": r, "degree": d} for r, d in bundle.hn],
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
-        "verdict": vars(report),
+        "verdict": _fields(report),
     }
 
 

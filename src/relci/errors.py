@@ -4,10 +4,11 @@ The split matters for the command line front end, which maps each class
 to a distinct exit code: invalid input (2), failed internal exact-identity
 check (3).  Oracle mismatches are reported by the ``oracle`` subcommand
 itself (exit code 4) and carry no dedicated exception.  ``shown`` keeps
-their messages short: one line, whatever the size of the input.
+the messages of both classes to one short line, whatever the numbers.
 """
 
 from decimal import Decimal
+from fractions import Fraction
 
 __all__ = ["InputError", "HypothesisError", "InternalCheckError", "shown"]
 
@@ -15,7 +16,10 @@ _SHOWN = 60  # the longest input a message repeats whole
 
 
 def shown(value: object) -> str:
-    """An input value as a message repeats it: whole when short, else its type and size."""
+    """A value as a message repeats it: whole when short, else its type and size."""
+    if type(value) is Fraction:  # as "p/q", or "p" when whole
+        p, q = value.as_integer_ratio()
+        return shown(p) if q == 1 else f"{shown(p)}/{shown(q)}"
     if type(value) is int:  # sized with no decimal text: a sum can pass the output limit
         digits = Decimal(value).adjusted() + 1
         return repr(value) if digits <= _SHOWN else f"an int of {digits} digits"

@@ -1,31 +1,28 @@
-"""Exact combinatorial and polynomial kernel.
+"""Exact combinatorial kernel.
 
-Everything downstream reduces to three ingredients, all computed over
-arbitrary-precision integers and ``fractions.Fraction``, the one rational
-type of the package (stdlib Fractions are exact, always stored reduced,
+Everything downstream reduces to two ingredients, both computed over
+arbitrary-precision integers (``fractions.Fraction`` is the one rational
+type of the package: stdlib Fractions are exact, always stored reduced,
 with a positive denominator):
 
 * truncated binomial coefficients, with the convention ``C(n, m) = 0``
   whenever ``n < m`` (including every negative ``n``);
 * signed subset-sum tables, the workhorse behind alternating sums over
-  all ``2^c`` subsets without materialising them;
-* exact univariate polynomials with rational coefficients.
+  all ``2^c`` subsets without materialising them.
 
 No floating point is used anywhere in the computation path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, comb
-from typing import Iterable, Sequence
+from math import comb
+from typing import Sequence
 
 from .errors import InputError
 
 __all__ = [
     "binom_trunc",
     "signed_subset_tables",
-    "RatPoly",
 ]
 
 
@@ -86,57 +83,3 @@ def signed_subset_tables(
         used += w
     return cnt, val
 
-
-class RatPoly:
-    """Univariate polynomial with exact rational coefficients.
-
-    Coefficients are indexed by power of the variable; trailing zeros
-    are trimmed on construction, so the zero polynomial has an empty
-    coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
-
-    def sign_stable_from(self) -> int:
-        """Integer N such that the sign of the polynomial at x is constant for x > N.
-
-        Uses the Cauchy root bound 1 + max |a_i / a_lead|; any valid
-        bound would do since all coefficients are exact.  Returns 0 for
-        constant (including zero) polynomials.
-        """
-        if self.degree <= 0:
-            return 0
-        lead = self.coeffs[-1]
-        bound = 1 + max(abs(c / lead) for c in self.coeffs[:-1])
-        return ceil(bound)

@@ -15,8 +15,9 @@ Everything here is an exact integer or rational identity in the data
 * rank and degree of the pushforward of O_X(h), together from one
   alternating Koszul sum over index subsets (``pushforward``; its global
   /r always cancels, asserted), or for a run h = 0..H of twists
-  (``positivity_margins``) from running sums of the subset tables, the
-  run's last twist held to its direct sum; memoised on the instance;
+  (``positivity_margins``) from running sums of the subset tables, held
+  to the direct sum at its last twist and at every memoised twist; both
+  are memoised on the instance;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError, shown
-from .exact import RatPoly, binom_trunc, signed_subset_tables
+from .exact import binom_trunc, signed_subset_tables
 
 __all__ = [
     "RelativeCI",
@@ -217,7 +218,8 @@ def _koszul_sum(X: RelativeCI, h: int) -> PushforwardSummary:
             rank += c * b
             num += b * (c * (h - s) * d + v * r)
     if num % r:
-        raise InternalCheckError(f"pushforward degree not integral: {num}/{r} at h={h}")
+        raise InternalCheckError(f"pushforward degree not integral: {shown(num)}/{shown(r)} "
+                                 f"at h={shown(h)}")
     return PushforwardSummary(h, rank, num // r)
 
 
@@ -256,10 +258,10 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
     d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
     Additions only, and no object per twist.  The memo keeps the longest
     run, which shorter runs and ``pushforward`` read off.  A longer run
-    is built, its last twist held to the direct Koszul sum (or its
-    memoised value), which also asserts degree integrality; a mismatch
-    aborts hard.  Memoised twists keep their entries and the run takes
-    them over, so each margin is the one ``positivity_margin`` returns.
+    is built and held to the direct Koszul sum at its last twist (which
+    also asserts degree integrality) and to every memoised twist it
+    covers; a mismatch aborts hard, so each margin is the one
+    ``positivity_margin`` returns.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {shown(h_max)}")
@@ -271,27 +273,28 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
         for _ in range(X.rank):
             ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
         degrees = [X.degree * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
-        last = memo.get(h_max) or _koszul_sum(X, h_max)
-        if (last.rank, last.degree) != (ranks[-1], degrees[-1]):
-            raise InternalCheckError(
-                f"run of twists disagrees with the Koszul sum at h={h_max}: rank, degree "
-                f"{ranks[-1]}, {degrees[-1]} vs {last.rank}, {last.degree}"
-            )
+        if h_max not in memo:
+            memo[h_max] = _koszul_sum(X, h_max)
         for h, pf in list(memo.items()):  # a snapshot: other threads may add twists
-            if type(h) is int and h <= h_max:
-                ranks[h], degrees[h] = pf.rank, pf.degree
+            if type(h) is int and h <= h_max and (pf.rank, pf.degree) != (ranks[h], degrees[h]):
+                raise InternalCheckError(
+                    f"run of twists disagrees with the Koszul sum at h={shown(h)}: rank, "
+                    f"degree {shown(ranks[h])}, {shown(degrees[h])} vs {shown(pf.rank)}, "
+                    f"{shown(pf.degree)}"
+                )
         memo["run"] = ranks, degrees
     n, top, fib = X.dim, h_top(X), fibre_deg(X)
     return tuple(_margin(h, ranks[h], degrees[h], n, top, fib) for h in range(1, h_max + 1))
 
 
-def stable_margin_poly(X: RelativeCI) -> RatPoly:
+def stable_margin_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     """Exact polynomial giving margin(h) / h^(dim X - 1) for h > k_sum - r.
 
-    Built once per instance in closed form from the subset tables (see
-    ``_stable_poly``) and memoised on it.  Its degree is at most
-    dim X - 1: the degree-(dim X) coefficient cancels identically
-    between the rank and degree parts, and this is asserted.
+    Its coefficients by power of h, trailing zeros trimmed (the zero
+    polynomial is ``()``), built once per instance in closed form from
+    the subset tables (see ``_stable_poly``) and memoised on it.  Its
+    degree is at most dim X - 1: the degree-(dim X) coefficient cancels
+    identically between the rank and degree parts, and this is asserted.
     """
     memo = X._memo
     poly = memo.get("stable_margin_poly")
@@ -316,7 +319,7 @@ def _moments(coeffs: tuple[int, ...], count: int) -> list[int]:
     return out
 
 
-def _stable_poly(X: RelativeCI) -> RatPoly:
+def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     """The stable margin polynomial from the moments of the subset tables.
 
     If p(t) = sum_i b_i * (1 - t)^i, the coefficient of t^h in
@@ -336,8 +339,9 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
     b, v = _moments(cnt, r + 1), _moments(val, r)
     if any(b[:c]) or any(v[: c - 1]):
         raise InternalCheckError(
-            f"subset table moments below order c = {c} (c - 1 for val) do not vanish: "
-            f"cnt {b[:c]}, val {v[: c - 1]}"
+            f"subset table moments below order c = {shown(c)} (c - 1 for val) do not vanish: "
+            f"cnt at orders {shown([i for i, x in enumerate(b[:c]) if x])}, "
+            f"val at orders {shown([i for i, x in enumerate(v[: c - 1]) if x])}"
         )
     tb = [x - y for x, y in zip(b, [0, *b])]
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
@@ -355,12 +359,12 @@ def _stable_poly(X: RelativeCI) -> RatPoly:
         for j, x in enumerate(basis):
             out[j + 1] += rk * x
             out[j] -= dg * x
-    poly = RatPoly(Fraction(x, den) for x in out)
-    if poly.degree >= n:
-        raise InternalCheckError(
-            f"stable margin polynomial has degree {poly.degree} >= dim X = {n}"
-        )
-    return poly
+    while out and not out[-1]:
+        out.pop()
+    if len(out) > n:
+        raise InternalCheckError(f"stable margin polynomial has degree {shown(len(out) - 1)} "
+                                 f">= dim X = {shown(n)}")
+    return tuple(Fraction(x, den) for x in out)
 
 
 class CanonicalClass(NamedTuple):
@@ -428,7 +432,8 @@ def canonical_margin(X: RelativeCI) -> int:
     kf_fibre_power = omega.h ** (n - 1) * fibre_deg(X)
     direct = canonical_top_power(X) * omega.rank - n * kf_fibre_power * omega.degree
     if direct != twisted:
-        raise InternalCheckError(f"canonical margin mismatch: direct {direct} vs twisted {twisted}")
+        raise InternalCheckError(f"canonical margin mismatch: direct {shown(direct)} "
+                                 f"vs twisted {shown(twisted)}")
     return twisted
 
 

@@ -141,7 +141,7 @@ class ChowClass:
         """Scalar of a top-degree class."""
         if self.codim != rank:
             raise InternalCheckError(
-                f"contracting degree {self.codim}, expected {rank}"
+                f"contracting degree {shown(self.codim)}, expected {shown(rank)}"
             )
         return self.u * bundle_degree + self.v
 
@@ -175,7 +175,7 @@ def chow_expand(X: RelativeCI) -> ChowSummary:
 
     def as_int(x: Fraction) -> int:
         if x.denominator != 1:
-            raise InternalCheckError(f"expected integer intersection number, got {x}")
+            raise InternalCheckError(f"expected integer intersection number, got {shown(x)}")
         return int(x)
 
     top = as_int((cls * H ** (r - X.codim)).contract(d, r))

@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from math import ceil
 from typing import Any, NamedTuple
 
 from .bundles import BundleOverCurve, mn_divisor_test
 from .errors import InputError, InternalCheckError, shown
-from .exact import RatPoly
 from .invariants import (
     RelativeCI,
     alpha_invariant,
@@ -56,14 +56,13 @@ __all__ = [
 
 _NO_CONCLUSION = ("Undetermined", "NoConclusion")
 _EVENTUAL_LABEL = {1: "StrictlyFPositiveEventually", -1: "NotFPositiveEventually", 0: "Boundary"}
-_REPORT_FIELDS = ("theorem", "hypotheses", "conclusion", "witnesses")
 
 
-class VerdictReport(namedtuple("VerdictReport", _REPORT_FIELDS)):
+class VerdictReport(namedtuple("VerdictReport", "theorem hypotheses conclusion witnesses")):
     """A theorem-level conclusion with its gates (name to flag) and exact witnesses.
 
-    Its fields are the report that ``relci verdict`` and ``relci example``
-    print, and ``vars(report)`` gives them by name.
+    Its fields, in order, are the report that ``relci verdict`` and
+    ``relci example`` print.
     """
 
     __slots__ = ()
@@ -78,10 +77,6 @@ class VerdictReport(namedtuple("VerdictReport", _REPORT_FIELDS)):
                 f"verdict {theorem!r} concluded {conclusion!r} with a failed hypothesis"
             )
         return self
-
-    @property
-    def __dict__(self) -> dict[str, Any]:
-        return dict(zip(_REPORT_FIELDS, self))
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -110,8 +105,8 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     by_margins = all(m >= 0 for m in margins.values())
     if not by_alpha == by_ratio == by_margins:
         raise InternalCheckError(
-            f"small-twist equivalence broke: "
-            f"alpha {a}, ratio {X.ratio_sum} vs {c_mu}, margins {margins}"
+            f"small-twist equivalence broke: alpha {shown(a)}, ratio {shown(X.ratio_sum)} vs "
+            f"{shown(c_mu)}, margins < 0 at h = {shown([h for h, m in margins.items() if m < 0])}"
         )
     return VerdictReport(
         theorem="SmallH",
@@ -137,8 +132,8 @@ def asymptotic_verdict(X: RelativeCI) -> VerdictReport:
     module docstring).
     """
     a = alpha_invariant(X)
-    poly = stable_margin_poly(X)
-    lead = poly.leading
+    poly, n = stable_margin_poly(X), X.dim
+    lead = poly[-1] if poly else Fraction(0)
     sign = (lead > 0) - (lead < 0)
     return VerdictReport(
         theorem="Asymptotic",
@@ -146,9 +141,9 @@ def asymptotic_verdict(X: RelativeCI) -> VerdictReport:
         conclusion=_EVENTUAL_LABEL[sign],
         witnesses={
             "alpha": a,
-            "stable_poly_degree": poly.degree,
+            "stable_poly_degree": len(poly) - 1,
             "stable_leading_coeff": lead,
-            "next_coeff": poly.coefficient(X.dim - 1),
+            "next_coeff": poly[n - 1] if len(poly) == n else Fraction(0),
             "exact_eventual_sign": sign,
         },
     )
@@ -180,7 +175,7 @@ def slope_verdict(X: RelativeCI) -> VerdictReport:
     crit = X.bundle.slope >= ratio
     if not (kf >= 0) == (margin >= 0) == crit:
         raise InternalCheckError(
-            f"slope equivalence broke: kf_top {kf}, margin {margin}, criterion {crit}"
+            f"slope equivalence broke: kf_top {shown(kf)}, margin {shown(margin)}, criterion {crit}"
         )
     return VerdictReport(
         theorem="Slope",
@@ -217,7 +212,7 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
             witnesses=witnesses,
         )
     witnesses["unstable_small_h"] = True
-    witnesses["unstable_large_h"] = stable_margin_poly(X).leading < 0
+    witnesses["unstable_large_h"] = (stable_margin_poly(X) or (0,))[-1] < 0  # zero is ()
     witnesses["unstable_dualizing"] = X.balanced and canonical_class(X).general_type_fibres
     return VerdictReport(
         theorem="Instability",
@@ -293,7 +288,7 @@ class SweepResult(NamedTuple):
     """Cleared margins for h = 1..h_max plus exact stabilisation data."""
 
     margins: tuple[int, ...]
-    stable_poly: RatPoly
+    stable_poly: tuple[Fraction, ...]
     sign_stable_from: int
     eventual_sign: int
 
@@ -304,16 +299,18 @@ def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     The margins come from one run of twists (``positivity_margins``).
     The stable polynomial is the normalised margin for h > k_sum - r,
     built from the subset tables without evaluating any twist (see
-    ``stable_margin_poly``); beyond ``sign_stable_from`` (the larger of
-    k_sum and a root bound on that polynomial) the sign of every margin
-    equals ``eventual_sign``.
+    ``stable_margin_poly``).  Beyond ``sign_stable_from``, the larger of
+    k_sum and the Cauchy root bound 1 + max_i |a_i / a_lead| rounded up
+    (k_sum alone for a constant or zero polynomial), the sign of every
+    margin equals ``eventual_sign``.
     """
     margins = positivity_margins(X, h_max)
     poly = stable_margin_poly(X)
-    lead = poly.leading
+    lead = poly[-1] if poly else 0
+    bound = 1 + ceil(max(map(abs, poly[:-1])) / abs(lead)) if len(poly) > 1 else 0
     return SweepResult(
         margins=margins,
         stable_poly=poly,
-        sign_stable_from=max(X.k_sum, poly.sign_stable_from()),
+        sign_stable_from=max(X.k_sum, bound),
         eventual_sign=(lead > 0) - (lead < 0),
     )

@@ -4,7 +4,9 @@
 ``sampled_stable_poly`` feeds it sampled margins, independently of the
 closed form that ``relci.invariants.stable_margin_poly`` builds from the
 moments of the subset tables, and the tests hold the two equal.
-``horner`` evaluates a ``RatPoly`` exactly, which the library never needs.
+A polynomial is its tuple of coefficients by power of the variable,
+trailing zeros trimmed, as ``stable_margin_poly`` returns it; ``horner``
+evaluates one exactly, which the library never needs.
 """
 
 from __future__ import annotations
@@ -12,23 +14,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from relci import InputError, RatPoly, RelativeCI, positivity_margin
+from relci import InputError, RelativeCI, positivity_margin
 
 
-def horner(poly: RatPoly, x: Fraction | int) -> Fraction:
+def horner(poly: tuple[Fraction, ...], x: Fraction | int) -> Fraction:
     """The exact value of ``poly`` at ``x``."""
     acc = Fraction(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = acc * x + c
     return acc
 
 
-def interpolate(samples: Sequence[tuple[Fraction | int, Fraction | int]]) -> RatPoly:
+def interpolate(
+    samples: Sequence[tuple[Fraction | int, Fraction | int]],
+) -> tuple[Fraction, ...]:
     """Exact polynomial through the given (x, y) samples.
 
     Newton's divided differences over Fractions; the result is the
     unique polynomial of degree < len(samples) hitting every sample
-    exactly.  Duplicate abscissae are rejected.
+    exactly, trailing zeros trimmed.  Duplicate abscissae are rejected.
     """
     if not samples:
         raise InputError("interpolate: need at least one sample")
@@ -52,10 +56,12 @@ def interpolate(samples: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rat
             nxt[i] -= b * xs[j]
             nxt[i + 1] += b
         basis = nxt
-    return RatPoly(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def sampled_stable_poly(X: RelativeCI) -> RatPoly:
+def sampled_stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     """The stable margin polynomial interpolated from dim X + 2 sampled margins.
 
     For h >= k_sum - r + 1 every truncated binomial of the Koszul sums

@@ -575,6 +575,26 @@ class TestExit3NamesTheInstance:
         self.assert_exit_3(capsys, "worked.json", ["oracle", "--h-max", "3"],
                            "expected integer intersection number, got ")
 
+    def test_numbers_past_the_output_limit(self, capsys, monkeypatch, tmp_path):
+        # the degree 10^4290 prints, but the run's degrees at h = 5000 have 4,301 digits
+        true_sum = invariants._koszul_sum
+
+        def off_by_one(X, h):
+            pf = true_sum(X, h)
+            return pf._replace(degree=pf.degree + 1)
+
+        rebind(monkeypatch, true_sum, off_by_one)
+        inst = {"bundle": {"rank": 4, "degree": 10**4290}, "ci": {"k": [3], "y": [1]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code, out, err = run_main(capsys, "sweep", "-i", str(path), "--h-max", "5000")
+        assert (code, out) == (3, "")
+        library, _, echo = err.partition(" for instance ")
+        assert library == ("relci: internal check failed: run of twists disagrees with the Koszul "
+                           "sum at h=5000: rank, degree 37507501, an int of 4301 digits vs "
+                           "37507501, an int of 4301 digits")
+        assert echo == json.dumps(instance_to_json(instance_from_json(inst))) + "\n"
+
     def test_example_names_its_flags(self, capsys, monkeypatch):
         # example reads no instance file, so its exit 3 ends with the flags it echoes
         monkeypatch.setattr(verdicts, "_NO_CONCLUSION", ())
@@ -841,7 +861,9 @@ class TestLongInputsInMessages:
         (["invariants", "-h", "-" + "9" * 4000], "twist h must be >= 0, got an int of 4000 digits"),
         (["sweep", "--h-max", "-" + "9" * 4000], "h_max must be >= 1, got an int of 4000 digits"),
         (["oracle", "--h-max", "-" + "9" * 4000], "h_max must be >= 0, got an int of 4000 digits"),
-    ], ids=["cones", "example", "invariants", "sweep", "oracle"])
+        (["oracle", "--h-max", "1" + "0" * 4000],
+         "oracle work 2^2 * C(an int of 4001 digits + 4, 4) is above the limit 200000"),
+    ], ids=["cones", "example", "invariants", "sweep", "oracle", "oracle_work"])
     def test_library_flag_messages(self, capsys, worked_file, argv, words):
         instance = [] if argv[0] == "example" else ["-i", worked_file]
         code, out, err = run_main(capsys, *argv, *instance)

@@ -207,13 +207,13 @@ class TestMarginRuns:
         assert run == tuple(positivity_margin(plain(r, d, k, y), h) for h in range(1, second + 1))
         assert pushforwards == [direct(plain(r, d, k, y), h) for h in range(max(first, second) + 1)]
 
-    def test_margins_use_memoised_twists(self):
-        # an entry inside the run, even a wrong one, is what the run and
-        # positivity_margin both read
+    def test_wrong_memoised_twist_inside_the_run_is_caught(self):
+        # a memoised entry inside a new run is held to it, not taken over
         X = plain(5, 3, (2, 3), (1, -1))
         pf = pushforward(X, 4)
         X._memo[4] = PushforwardSummary(4, pf.rank + 1, pf.degree)
-        assert positivity_margins(X, 9)[3] == positivity_margin(X, 4)
+        with pytest.raises(InternalCheckError, match=r"at h=4: rank, degree 50, 137 vs 51, 137$"):
+            positivity_margins(X, 9)
 
     def test_rejects_nonpositive_h_max(self):
         with pytest.raises(InputError):

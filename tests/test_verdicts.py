@@ -21,8 +21,10 @@ from relci import (
     small_h_verdict,
     stable_margin_poly,
 )
+from relci import verdicts
 from relci.bundles import REGIONS_OUTSIDE_BRIDGE
 from tests.conftest import make_ci, make_hn_bundle
+from tests.oracle_poly import horner
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -76,7 +78,8 @@ class TestAsymptotic:
         X = plain(4, 2, (2, 2), (1, 1))
         rep = asymptotic_verdict(X)
         assert rep.conclusion == "Boundary"
-        assert rep.witnesses["next_coeff"] == stable_margin_poly(X).coefficient(X.dim - 1)
+        poly = stable_margin_poly(X)
+        assert rep.witnesses["next_coeff"] == (poly[X.dim - 1] if len(poly) == X.dim else 0)
 
     def test_alpha_rule_can_disagree_with_exact_sign(self):
         # unbalanced instance whose margins end negative although the
@@ -122,7 +125,7 @@ class TestAsymptotic:
         # the naive top degree dim X always cancels exactly
         for _ in range(100):
             X = make_ci(rng)
-            assert stable_margin_poly(X).degree <= X.dim - 1
+            assert len(stable_margin_poly(X)) <= X.dim
 
 
 class TestSlope:
@@ -274,6 +277,22 @@ class TestSweep:
             for h in range(sweep.sign_stable_from + 1, sweep.sign_stable_from + 8):
                 m = positivity_margin(X, h)
                 assert (m > 0) - (m < 0) == sweep.eventual_sign
+
+    # the polynomial stands in for the stable one of an instance with k_sum = 2
+    @pytest.mark.parametrize("coeffs, bound", [
+        ((-540, 324), 3),  # Cauchy bound 1 + 540/324, rounded up
+        ((0, -10, 1), 11),  # roots 0 and 10, bound 1 + 10
+        ((7,), 2),  # constant and zero: k_sum alone
+        ((), 2),
+    ], ids=["linear", "quadratic", "constant", "zero"])
+    def test_sign_stable_bound(self, monkeypatch, coeffs, bound):
+        poly = tuple(map(Fraction, coeffs))
+        monkeypatch.setattr(verdicts, "stable_margin_poly", lambda X: poly)
+        sweep = h_sweep(plain(3, 0, (2,), (0,)), 1)
+        assert (sweep.stable_poly, sweep.sign_stable_from) == (poly, bound)
+        for x in range(bound + 1, bound + 50):
+            value = horner(poly, x)
+            assert (value > 0) - (value < 0) == sweep.eventual_sign
 
     def test_h_max_validated(self):
         with pytest.raises(InputError):
