@@ -102,12 +102,22 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
+def _num(value: int | Fraction) -> str:
+    """A report number as a decimal string, "p/q" for a rational."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(
+            f"a reported number has more than {sys.get_int_max_str_digits()} digits, "
+            f"the interpreter's limit for decimal output"
+        ) from exc
+
+
 def _enc(value: Any) -> Any:
     """Encode report values: every number becomes a decimal string.
 
-    Exact types are tested first, since reports are mostly strings (every
-    margin row carries a sign word), dicts, lists and numbers; bool,
-    str-Enums and None then pass through as is.
+    Exact types are tested first, since reports are mostly strings, dicts,
+    lists and numbers; bool, str-Enums and None then pass through as is.
     """
     kind = type(value)
     if kind is str:
@@ -117,13 +127,7 @@ def _enc(value: Any) -> Any:
     if kind is list or kind is tuple:
         return [_enc(v) for v in value]
     if kind is int or kind is Fraction:
-        try:
-            return str(value)
-        except ValueError as exc:
-            raise InputError(
-                f"a reported number has more than {sys.get_int_max_str_digits()} digits, "
-                f"the interpreter's limit for decimal output"
-            ) from exc
+        return _num(value)
     if isinstance(value, (bool, str)) or value is None:  # str subclasses: str-Enums
         return value
     raise TypeError(f"cannot encode {value!r} in a report")
@@ -237,7 +241,7 @@ def _report(command: str, inp: Any, result: Any, warnings: list[str]) -> dict:
     return {
         "command": command,
         "input": _enc(inp),
-        "result": _enc(result),
+        "result": result,
         "warnings": warnings,
         "tool": {"name": "relci", "version": __version__},
     }
@@ -250,9 +254,10 @@ def _emit(report: dict, pretty: bool) -> None:
 
 # ---------------------------------------------------------------- commands
 #
-# A command returns the result of its report; ``main`` adds the echo (the
-# instance it loaded, or the flags of ``example``) and the warnings.
-# ``contact`` reads its own input and returns (echo, result).
+# A command returns the result of its report, already encoded (``_enc``);
+# ``main`` adds the echo (the instance it loaded, or the flags of
+# ``example``) and the warnings.  ``contact`` reads its own input and
+# returns (echo, result).
 
 
 def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -278,7 +283,7 @@ def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
         result["e_cleared"] = margin
         result["e_rational"] = Fraction(margin, pf.rank)
         result["sign"] = _sign_word(margin)
-    return result
+    return _enc(result)
 
 
 def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -294,13 +299,13 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
         a = alpha_invariant(X)  # a positive multiple of c*mu - sum_i y_i/k_i
         cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
-    return {
+    return _enc({
         "small_h": _fields(small_h_verdict(X)),
         "asymptotic": _fields(asymptotic_verdict(X)),
         "slope": _fields(slope_verdict(X)),
         "instability": _fields(instability_verdict(X)),
         "cone": cone_part,
-    }
+    })
 
 
 def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -322,7 +327,7 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
         except OSError as exc:
             raise InputError(f"cannot write {args.svg}: {exc}") from exc
     return {
-        "codim": c,
+        "codim": _num(c),
         "cones": rows,
         "coincide": bundle.is_semistable,
         "svg": args.svg or None,
@@ -333,11 +338,11 @@ def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)
     return {
         "margins": [
-            {"h": h, "e_cleared": margin, "sign": _sign_word(margin)}
+            {"h": str(h), "e_cleared": _num(margin), "sign": _sign_word(margin)}
             for h, margin in enumerate(sweep.margins, 1)
         ],
-        "stable_poly_coeffs": list(sweep.stable_poly),
-        "sign_stable_from": sweep.sign_stable_from,
+        "stable_poly_coeffs": _enc(sweep.stable_poly),
+        "sign_stable_from": _num(sweep.sign_stable_from),
         "eventual_sign": _sign_word(sweep.eventual_sign),
     }
 
@@ -354,12 +359,12 @@ def _cmd_oracle(X: RelativeCI, args: argparse.Namespace) -> dict:
             f"{'' if work is None else f' = {shown(work)}'} is above the limit {MAX_ORACLE_WORK}"
         )
     checks, mismatches = cross_check(X, h_max)
-    return {
+    return _enc({
         "h_max": h_max,
         "checks": checks,
         "mismatches": mismatches,
         "status": "all 4 oracle suites passed" if not mismatches else "oracle mismatch",
-    }
+    })
 
 
 def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict]:
@@ -392,12 +397,12 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict]:
     }
     echo = {name: {"dim": T.dim, "deg": T.deg, "e_f": T.e_f} for name, T in insts.items()}
     echo["weights"] = list(weights.weights)
-    return echo, result
+    return echo, _enc(result)
 
 
 def _cmd_example(args: argparse.Namespace) -> dict:
     bundle, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
-    return {
+    return _enc({
         "bundle": {
             "rank": bundle.rank,
             "degree": bundle.degree,
@@ -405,7 +410,7 @@ def _cmd_example(args: argparse.Namespace) -> dict:
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
         "verdict": _fields(report),
-    }
+    })
 
 
 # ------------------------------------------------------------------ parser

@@ -37,8 +37,8 @@ Everything here is an exact integer or rational identity in the data
   power, and the margin of the corresponding slope inequality, computed
   both directly and through the twist-invariance of margins (the two
   cleared values agree exactly, and this is asserted);
-* closed forms special to balanced data (all k_i equal), including the
-  surface case c = r - 2.
+* the closed surface formulas of balanced data (all k_i equal,
+  c = r - 2), checked against the direct values.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "canonical_top_power",
     "omega_pushforward",
     "canonical_margin",
-    "balanced_margin",
     "surface_formula_check",
     "ci_class",
     "effectivity_violations",
@@ -242,11 +241,8 @@ def positivity_margin(X: RelativeCI, h: int) -> int:
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {h}")
     pf = pushforward(X, h)
-    return _margin(h, pf.rank, pf.degree, X.dim, h_top(X), fibre_deg(X))
-
-
-def _margin(h: int, rank: int, degree: int, n: int, top: int, fib: int) -> int:
-    return h ** (n - 1) * (h * top * rank - n * fib * degree)
+    n = X.dim
+    return h ** (n - 1) * (h * h_top(X) * pf.rank - n * fibre_deg(X) * pf.degree)
 
 
 def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
@@ -272,7 +268,8 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
         ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
         for _ in range(X.rank):
             ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
-        degrees = [X.degree * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
+        d = X.degree
+        degrees = [d * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
         if h_max not in memo:
             memo[h_max] = _koszul_sum(X, h_max)
         for h, pf in list(memo.items()):  # a snapshot: other threads may add twists
@@ -283,8 +280,12 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
                     f"{shown(pf.degree)}"
                 )
         memo["run"] = ranks, degrees
-    n, top, fib = X.dim, h_top(X), fibre_deg(X)
-    return tuple(_margin(h, ranks[h], degrees[h], n, top, fib) for h in range(1, h_max + 1))
+    n = X.dim
+    top, nfib = h_top(X), n * fibre_deg(X)  # positivity_margin's formula, over the run
+    return tuple([
+        h ** (n - 1) * (h * top * rank - nfib * degree)
+        for h, rank, degree in zip(range(1, h_max + 1), ranks[1:], degrees[1:])
+    ])
 
 
 def stable_margin_poly(X: RelativeCI) -> tuple[Fraction, ...]:
@@ -435,39 +436,6 @@ def canonical_margin(X: RelativeCI) -> int:
         raise InternalCheckError(f"canonical margin mismatch: direct {shown(direct)} "
                                  f"vs twisted {shown(twisted)}")
     return twisted
-
-
-def balanced_margin(X: RelativeCI, h: int) -> int:
-    """Closed-form margin for balanced data, cleared by a factor r.
-
-    For k_i = k the subset sums collapse and the margin divided by
-    h^(n-1) factors through the alpha invariant:
-
-        r * margin(h) / h^(n-1)
-            = alpha * [ h * R_c(h) - n * k * R_{c-1}(h - k) ]
-
-    where R_j(m) = sum_i (-1)^i binom(j, i) binom(m - i*k + r - 1, r - 1)
-    is the pushforward rank of a balanced intersection of j hypersurfaces
-    and n = dim X.  The second sum is the one-fewer-hypersurface rank
-    shifted one degree down; for h < k it vanishes and the bracket
-    degenerates to the universal small-twist form h * binom(h+r-1, r-1).
-    Returns the exact integer value of the right-hand side.
-    """
-    if not X.balanced:
-        raise InputError("balanced_margin needs all k_i equal")
-    if h < 1:
-        raise InputError(f"balanced_margin needs h >= 1, got {h}")
-    r, c, n = X.rank, X.codim, X.dim
-    k = X.k[0]
-    first = sum(
-        (-1) ** i * binom_trunc(c, i) * binom_trunc(h - i * k + r - 1, r - 1)
-        for i in range(c + 1)
-    )
-    second = sum(
-        (-1) ** j * binom_trunc(c - 1, j) * binom_trunc(h - (j + 1) * k + r - 1, r - 1)
-        for j in range(c)
-    )
-    return alpha_invariant(X) * (h * first - n * k * second)
 
 
 class SurfaceFormulaReport(NamedTuple):

@@ -1,4 +1,4 @@
-"""Test-side oracle for the stable margin polynomial: sample, then interpolate.
+"""Test-side oracles for the margins: sample, then interpolate; balanced closed form.
 
 ``interpolate`` is exact Newton interpolation over Fractions;
 ``sampled_stable_poly`` feeds it sampled margins, independently of the
@@ -7,6 +7,8 @@ moments of the subset tables, and the tests hold the two equal.
 A polynomial is its tuple of coefficients by power of the variable,
 trailing zeros trimmed, as ``stable_margin_poly`` returns it; ``horner``
 evaluates one exactly, which the library never needs.
+``balanced_margin`` is a closed form of the margin for balanced data,
+which the tests hold to ``positivity_margin``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from relci import InputError, RelativeCI, positivity_margin
+from relci import InputError, RelativeCI, alpha_invariant, binom_trunc, positivity_margin
 
 
 def horner(poly: tuple[Fraction, ...], x: Fraction | int) -> Fraction:
@@ -75,3 +77,36 @@ def sampled_stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
         (h, Fraction(positivity_margin(X, h), h ** (n - 1)))
         for h in range(X.k_sum, X.k_sum + n + 2)
     ])
+
+
+def balanced_margin(X: RelativeCI, h: int) -> int:
+    """Closed-form margin for balanced data, cleared by a factor r.
+
+    For k_i = k the subset sums collapse and the margin divided by
+    h^(n-1) factors through the alpha invariant:
+
+        r * margin(h) / h^(n-1)
+            = alpha * [ h * R_c(h) - n * k * R_{c-1}(h - k) ]
+
+    where R_j(m) = sum_i (-1)^i binom(j, i) binom(m - i*k + r - 1, r - 1)
+    is the pushforward rank of a balanced intersection of j hypersurfaces
+    and n = dim X.  The second sum is the one-fewer-hypersurface rank
+    shifted one degree down; for h < k it vanishes and the bracket
+    degenerates to the universal small-twist form h * binom(h+r-1, r-1).
+    Returns the exact integer value of the right-hand side.
+    """
+    if not X.balanced:
+        raise InputError("balanced_margin needs all k_i equal")
+    if h < 1:
+        raise InputError(f"balanced_margin needs h >= 1, got {h}")
+    r, c, n = X.rank, X.codim, X.dim
+    k = X.k[0]
+    first = sum(
+        (-1) ** i * binom_trunc(c, i) * binom_trunc(h - i * k + r - 1, r - 1)
+        for i in range(c + 1)
+    )
+    second = sum(
+        (-1) ** j * binom_trunc(c - 1, j) * binom_trunc(h - (j + 1) * k + r - 1, r - 1)
+        for j in range(c)
+    )
+    return alpha_invariant(X) * (h * first - n * k * second)

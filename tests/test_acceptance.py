@@ -41,7 +41,6 @@ from relci import (
     ConeLabel,
     RelativeCI,
     alpha_invariant,
-    balanced_margin,
     canonical_margin,
     canonical_top_power,
     chow_expand,
@@ -67,6 +66,7 @@ from relci.bundles import REGIONS_OUTSIDE_BRIDGE
 from relci.contact import ContactInstance, HMStatus, WeightFiltration
 from relci.exact import binom_trunc
 from tests.conftest import make_ci, make_hn_bundle
+from tests.oracle_poly import balanced_margin
 
 
 def scoreboard(n: int, name: str, ok: bool) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relci import BundleOverCurve, RelativeCI, cross_check, exact, invariants, oracles, verdicts
+from relci import BundleOverCurve, RelativeCI, cli, cross_check, exact, invariants, oracles, verdicts
 from relci.bundles import split_hn_blocks
 from relci.cli import (
     _FLAG_LIMITS,
@@ -267,6 +267,20 @@ class TestSweepCommand:
                 assert row["sign"] == SIGN_WORDS[(cleared > 0) - (cleared < 0)]
                 words.add(row["sign"])
         assert words == set(SIGN_WORDS.values())
+
+    def test_rows_are_not_walked_by_the_encoder(self, capsys, monkeypatch):
+        # each row is built as the strings it prints; the encoder walks the rest
+        true_enc, calls = cli._enc, Counter()
+
+        def counted(value):
+            calls["enc"] += 1
+            return true_enc(value)
+
+        monkeypatch.setattr(cli, "_enc", counted)
+        worked = str(DEMOS / "instances" / "worked.json")
+        code, out, _ = run_main(capsys, "sweep", "-i", worked, "--h-max", "5000")
+        assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
+        assert calls["enc"] < 100
 
 
 class TestOracleCommand:
@@ -764,7 +778,8 @@ class TestDocumentedLimits:
 class TestUnwritableReports:
     """A report that cannot be printed or written exits 2 with one line on stderr."""
 
-    @pytest.mark.parametrize("argv", [["verdict"], ["invariants", "-h", "100"]], ids=["verdict", "invariants"])
+    @pytest.mark.parametrize("argv", [["verdict"], ["invariants", "-h", "100"], ["sweep", "--h-max", "40"]],
+                             ids=["verdict", "invariants", "sweep"])
     def test_number_past_the_digit_limit(self, capsys, tmp_path, argv):
         # inside every documented limit, yet h_top has more digits than str() may print
         inst = {"bundle": {"rank": 200, "degree": 10**4000}, "ci": {"k": [300], "y": [1]}}

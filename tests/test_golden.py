@@ -7,8 +7,9 @@ profile, the balanced canonical gate, the instability excess, eventual
 signs that disagree with alpha), the ``example`` family in both
 orientations, and split lists that do not fit the rest of the bundle
 (exit 2, each message naming the first inconsistency in file order),
-``sweep`` on the three benchmark ladder rungs, and ``cones --svg`` on
-some demo instances.  A ladder report is pinned by the byte length and
+``sweep`` on the three benchmark ladder rungs (and in the indented
+layout on ``worked.json`` and rung W), and ``cones --svg`` on some demo
+instances.  A ladder report is pinned by the byte length and
 sha256 of its stdout, since rung W's runs to 276 KB; a ``--svg`` case by
 the byte length and sha256 of the drawing it writes, in place of its
 stdout, which names the drawing's path.  ``--help`` is left out:
@@ -99,6 +100,8 @@ def _cases():
         argvs = [["invariants", "-h", str(h)] for h in (0, 1, 2, 7, 300)]
         argvs += [["verdict"], ["verdict", "--pretty"], ["cones", "-c", "1"], ["cones", "-c", "2"]]
         argvs += [["sweep", "--h-max", "12"], ["sweep", "--h-max", "60"], ["oracle", "--h-max", "6"]]
+        if path.name == "worked.json":
+            argvs.append(["sweep", "--h-max", "12", "--pretty"])
         out += [(f"{path.name} {' '.join(a)}", a, doc) for a in argvs]
     for name, doc in INLINE.items():
         argvs = [["invariants", "-h", "1"], ["invariants", "-h", "7"], ["verdict"], ["sweep", "--h-max", "12"]]
@@ -111,8 +114,10 @@ def _cases():
         for argv in (["verdict"], ["oracle", "--h-max", "3"]):
             out.append((f"{name} {' '.join(argv)}", argv, doc))
     for name, (doc, h_max) in LADDER.items():
-        argv = ["sweep", "--h-max", str(h_max)]
-        out.append((f"ladder_{name} {' '.join(argv)}", argv, doc))
+        argvs = [["sweep", "--h-max", str(h_max)]]
+        if name == "W":
+            argvs.append(["sweep", "--h-max", str(h_max), "--pretty"])
+        out += [(f"ladder_{name} {' '.join(a)}", a, doc) for a in argvs]
     for name, c in SVGS:
         doc = json.loads((INSTANCES / name).read_text(encoding="utf-8"))
         out.append((f"{name} cones -c {c} --svg", ["cones", "-c", str(c), "--svg"], doc))

@@ -12,7 +12,6 @@ from relci import (
     PushforwardSummary,
     RelativeCI,
     alpha_invariant,
-    balanced_margin,
     canonical_class,
     canonical_margin,
     canonical_top_power,
@@ -29,7 +28,7 @@ from relci import (
 from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
-from tests.oracle_poly import sampled_stable_poly
+from tests.oracle_poly import balanced_margin, sampled_stable_poly
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
