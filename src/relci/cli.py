@@ -45,7 +45,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 from typing import Any
 
 from . import __version__
@@ -83,6 +82,12 @@ _FLAG_LIMITS = {
 }
 # no decimal point or exponent: the length of the text bounds the size of the number
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SIGN_WORDS = ("zero", "positive", "negative")  # by sign: 0, 1, -1
+# (array, separator, row) of sweep's margins as json.dumps writes them, by --pretty: keys
+# sorted, and the values, decimals and sign words, need no escaping
+_MARGIN_ROWS = (("[%s]", ",", '{"e_cleared":"%d","h":"%d","sign":"%s"}'),
+                ("[\n%s\n    ]", ",\n", '      {\n        "e_cleared": "%d",\n        "h": "%d",\n'
+                                         '        "sign": "%s"\n      }'))
 
 
 def _fields(report: tuple) -> dict[str, Any]:
@@ -91,7 +96,7 @@ def _fields(report: tuple) -> dict[str, Any]:
 
 
 def _sign_word(value: Any) -> str:
-    return "positive" if value > 0 else "negative" if value < 0 else "zero"
+    return _SIGN_WORDS[(value > 0) - (value < 0)]
 
 
 def _int_flag(text: str) -> int:
@@ -158,8 +163,10 @@ def _shaped(value: Any, kind: type, field: str) -> Any:
 def _read_json(path: str) -> Any:
     """Read and decode a JSON input file; ``-`` reads standard input."""
     try:
-        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-        return json.loads(raw)
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, encoding="utf-8") as file:
+            return json.loads(file.read())
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
@@ -237,27 +244,32 @@ def _warnings(X: RelativeCI) -> list[str]:
     ]
 
 
-def _report(command: str, inp: Any, result: Any, warnings: list[str]) -> dict:
-    return {
-        "command": command,
-        "input": _enc(inp),
-        "result": result,
-        "warnings": warnings,
-        "tool": {"name": "relci", "version": __version__},
-    }
+class _JsonText:
+    """A report value given as its JSON text, which ``_emit`` writes as it is."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _emit(report: dict, pretty: bool) -> None:
+    """Write the report; a ``_JsonText`` value (sweep's margins) is spliced in once."""
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    sys.stdout.write(json.dumps(report, sort_keys=True, **layout) + "\n")
+    held = []  # written "\u0000" first, a string no report value contains
+
+    def hold(value: _JsonText) -> str:
+        held.append(value.text)
+        return "\0"
+
+    text = json.dumps(report, sort_keys=True, default=hold, **layout)
+    sys.stdout.write((text.replace('"\\u0000"', held[0], 1) if held else text) + "\n")
 
 
 # ---------------------------------------------------------------- commands
 #
-# A command returns the result of its report, already encoded (``_enc``);
-# ``main`` adds the echo (the instance it loaded, or the flags of
-# ``example``) and the warnings.  ``contact`` reads its own input and
-# returns (echo, result).
+# A command returns the result of its report, already encoded (``_enc``;
+# sweep's margins as ``_JsonText``); ``main`` adds the echo (the instance
+# it loaded, or the flags of ``example``) and the warnings.  ``contact``
+# reads its own input and returns (echo, result).
 
 
 def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -299,13 +311,13 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
         a = alpha_invariant(X)  # a positive multiple of c*mu - sum_i y_i/k_i
         cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
-    return _enc({
-        "small_h": _fields(small_h_verdict(X)),
-        "asymptotic": _fields(asymptotic_verdict(X)),
-        "slope": _fields(slope_verdict(X)),
-        "instability": _fields(instability_verdict(X)),
-        "cone": cone_part,
-    })
+    return {  # each verdict encoded as it comes: past the digit limit, exit before the next
+        "small_h": _enc(_fields(small_h_verdict(X))),
+        "asymptotic": _enc(_fields(asymptotic_verdict(X))),
+        "slope": _enc(_fields(slope_verdict(X))),
+        "instability": _enc(_fields(instability_verdict(X))),
+        "cone": _enc(cone_part),
+    }
 
 
 def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
@@ -320,10 +332,10 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
         for label, t in thresholds.items()
     ])
     if args.svg:
+        drawing = cone_diagram(c, thresholds, bundle.is_semistable)  # before the file opens
         try:
-            Path(args.svg).write_text(
-                cone_diagram(c, thresholds, bundle.is_semistable), encoding="utf-8"
-            )
+            with open(args.svg, "w", encoding="utf-8") as file:
+                file.write(drawing)
         except OSError as exc:
             raise InputError(f"cannot write {args.svg}: {exc}") from exc
     return {
@@ -335,12 +347,16 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
-    sweep = h_sweep(X, args.h_max)
+    sweep = h_sweep(X, args.h_max)  # h_max >= 1: the array is never empty
+    array, sep, row = _MARGIN_ROWS[args.pretty]
+    try:
+        rows = sep.join([row % (m, h, _SIGN_WORDS[(m > 0) - (m < 0)])
+                         for h, m in enumerate(sweep.margins, 1)])
+    except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
+        _num(max(map(abs, sweep.margins)))
+        raise
     return {
-        "margins": [
-            {"h": str(h), "e_cleared": _num(margin), "sign": _sign_word(margin)}
-            for h, margin in enumerate(sweep.margins, 1)
-        ],
+        "margins": _JsonText(array % rows),
         "stable_poly_coeffs": _enc(sweep.stable_poly),
         "sign_stable_from": _num(sweep.sign_stable_from),
         "eventual_sign": _sign_word(sweep.eventual_sign),
@@ -512,7 +528,13 @@ def main(argv: list[str] | None = None) -> int:
             echo = instance_to_json(X)
             result = args.func(X, args)
             warnings = _warnings(X)
-        report = _report(args.command, echo, result, warnings)
+        report = {
+            "command": args.command,
+            "input": _enc(echo),
+            "result": result,
+            "warnings": warnings,
+            "tool": {"name": "relci", "version": __version__},
+        }
     except InputError as exc:
         print(f"relci: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -62,7 +62,9 @@ def signed_subset_tables(
     picked indices.  A knapsack-style pass makes alternating sums over
     2^c subsets cost O(c * sum(weights)), which keeps codimensions in
     the tens cheap; for equal weights it degenerates to the classical
-    binomial grouping.  Weights must be positive.
+    binomial grouping.  The tables do not depend on the order of the
+    (weight, value) pairs, and an item's pass costs the weight already
+    used plus one, so the lightest items go first.  Weights must be positive.
     """
     if len(weights) != len(values):
         raise InputError("signed_subset_tables: weight/value length mismatch")
@@ -73,7 +75,7 @@ def signed_subset_tables(
     val = [0] * (total + 1)
     cnt[0] = 1
     used = 0
-    for w, v in zip(weights, values):
+    for w, v in sorted(zip(weights, values)):
         # descending s: cnt[s]/val[s] still refer to subsets of the items
         # already processed, so each item enters a subset at most once
         for s in range(used, -1, -1):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import relci
 from relci import BundleOverCurve, RelativeCI, cli, cross_check, exact, invariants, oracles, verdicts
 from relci.bundles import split_hn_blocks
 from relci.cli import (
@@ -115,8 +116,11 @@ class TestInvariantsCommand:
         assert "invalid input" in err
 
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
-        code, _, _ = run_main(capsys, "invariants", "-i", str(tmp_path / "missing.json"))
+        path = str(tmp_path / "missing.json")
+        code, _, err = run_main(capsys, "invariants", "-i", path)
         assert code == 2
+        assert err == (f"relci: invalid input: cannot read input file {path}: "
+                       f"[Errno 2] No such file or directory: '{path}'\n")
 
     def test_not_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
@@ -281,6 +285,56 @@ class TestSweepCommand:
         code, out, _ = run_main(capsys, "sweep", "-i", worked, "--h-max", "5000")
         assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
         assert calls["enc"] < 100
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_rows_are_the_text_json_dumps_writes(self, capsys, tmp_path, rng, pretty):
+        # margins that are zero, negative and hundreds of digits long
+        draws = [make_ci(rng) for _ in range(12)]
+        draws += [RelativeCI(BundleOverCurve(4, 3), (2, 2), (1, 2)),  # every margin zero
+                  RelativeCI(BundleOverCurve(5, -10**300), (3, 2), (1, -7)),
+                  RelativeCI(BundleOverCurve(6, 10**250 + 1), (4,), (-3,))]
+        words, longest = set(), 0
+        for X in draws:
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(instance_to_json(X)), encoding="utf-8")
+            h_max = X.k_sum + 3
+            code, out, _ = run_main(capsys, "sweep", "-i", str(path), "--h-max", str(h_max),
+                                    *["--pretty"] * pretty)
+            sweep = verdicts.h_sweep(X, h_max)
+            report = {
+                "command": "sweep",
+                "input": instance_to_json(X),
+                "result": {
+                    "margins": [{"h": h, "e_cleared": m, "sign": sign_word(m)}
+                                for h, m in enumerate(sweep.margins, 1)],
+                    "stable_poly_coeffs": sweep.stable_poly,
+                    "sign_stable_from": sweep.sign_stable_from,
+                    "eventual_sign": sign_word(sweep.eventual_sign),
+                },
+                "warnings": cli._warnings(X),
+                "tool": {"name": "relci", "version": relci.__version__},
+            }
+            layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+            assert code == 0
+            assert out == json.dumps(reference_encoding(report), sort_keys=True, **layout) + "\n"
+            words |= {sign_word(m) for m in sweep.margins}
+            longest = max(longest, *(len(str(abs(m))) for m in sweep.margins))
+        assert words == set(SIGN_WORDS.values()) and longest > 250
+
+
+def sign_word(value):
+    return SIGN_WORDS[(value > 0) - (value < 0)]
+
+
+def reference_encoding(value):
+    """A report with every number as its decimal string, as reports print them."""
+    if isinstance(value, dict):
+        return {key: reference_encoding(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_encoding(v) for v in value]
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 class TestOracleCommand:
@@ -775,6 +829,10 @@ class TestDocumentedLimits:
         assert str(limit) in clause
 
 
+TOO_LONG = (f"relci: invalid input: a reported number has more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for decimal output\n")
+
+
 class TestUnwritableReports:
     """A report that cannot be printed or written exits 2 with one line on stderr."""
 
@@ -787,7 +845,32 @@ class TestUnwritableReports:
         path.write_text(json.dumps(inst), encoding="utf-8")
         code, out, err = run_main(capsys, *argv, "-i", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("relci: invalid input:") and err.count("\n") == 1
+        assert err == TOO_LONG
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+    def test_margin_row_past_the_digit_limit(self, capsys, monkeypatch, worked_file, pretty):
+        # only the second row is past the limit; the rest of the report is short
+        result = verdicts.SweepResult(margins=(1, -(10**4300), 0), stable_poly=(Fraction(1, 2),),
+                                      sign_stable_from=6, eventual_sign=1)
+        monkeypatch.setattr(cli, "h_sweep", lambda X, h_max: result)
+        code, out, err = run_main(capsys, "sweep", "-i", worked_file, "--h-max", "3", *pretty)
+        assert (code, out, err) == (2, "", TOO_LONG)
+
+    def test_verdict_exits_before_the_stable_polynomial(self, capsys, monkeypatch, tmp_path):
+        # the small-twist band's margins are already past the limit
+        inst = {"bundle": {"rank": 200, "degree": 10**4000}, "ci": {"k": [300], "y": [1]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        true_poly, calls = invariants.stable_margin_poly, Counter()
+
+        def counted(X):
+            calls["stable_margin_poly"] += 1
+            return true_poly(X)
+
+        rebind(monkeypatch, true_poly, counted)
+        code, out, err = run_main(capsys, "verdict", "-i", str(path))
+        assert (code, out, err) == (2, "", TOO_LONG)
+        assert calls["stable_margin_poly"] == 0
 
     def test_svg_threshold_past_the_digit_limit(self, capsys, tmp_path):
         # four 4300-digit slopes; the two largest sum past what str() may print

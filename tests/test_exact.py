@@ -47,6 +47,13 @@ class TestSignedTables:
                     want_val[s] += (-1) ** size * sum(y[i - 1] for i in I)
             assert cnt == want_cnt and val == want_val
 
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(-9, 9)), min_size=1, max_size=6),
+           st.data())
+    def test_pair_order_does_not_matter(self, pairs, data):
+        # the (k_i, y_i) pairs are a set: any order gives the same tables
+        shuffled = data.draw(st.permutations(pairs))
+        assert signed_subset_tables(*zip(*shuffled)) == signed_subset_tables(*zip(*pairs))
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(InputError):
             signed_subset_tables([2, 0], [1, 1])

@@ -15,9 +15,14 @@ the byte length and sha256 of the drawing it writes, in place of its
 stdout, which names the drawing's path.  ``--help`` is left out:
 argparse wraps it to the terminal.
 
-Regenerate the expected file only after a deliberate report change::
+Regenerate the expected file only after a deliberate report change,
+either every case or only the cases named by their ids::
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py "worked.json verdict" "ladder_M sweep --h-max 400"
+
+Naming cases leaves every other entry byte-unchanged; an unknown id is
+an error and writes nothing.
 """
 
 import hashlib
@@ -170,11 +175,38 @@ def test_report(golden, tmp_path, case_id, argv, doc):
     assert run_case(argv, doc, tmp_path, case_id.startswith("ladder_")) == golden[case_id]
 
 
+def regenerate(case_ids, path, workdir):
+    """Rewrite the named cases in ``path``, or every case when none is named."""
+    cases = {case_id: (argv, doc) for case_id, argv, doc in CASES}
+    for case_id in case_ids:
+        if case_id not in cases:
+            raise KeyError(f"no golden case {case_id!r}")
+    got = json.loads(path.read_text(encoding="utf-8")) if case_ids else {}
+    for case_id in case_ids or cases:
+        argv, doc = cases[case_id]
+        got[case_id] = run_case(argv, doc, workdir, case_id.startswith("ladder_"))
+    path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return len(case_ids or cases)
+
+
+def test_regenerating_named_cases(tmp_path):
+    path = tmp_path / "golden.json"
+    stale = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    stale["worked.json verdict"] = {"code": 9}
+    path.write_text(json.dumps(stale, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    regenerate(["worked.json verdict", "worked.json invariants -h 2"], path, tmp_path)
+    assert path.read_bytes() == GOLDEN.read_bytes()
+    with pytest.raises(KeyError, match="no golden case 'worked.json nonsense'"):
+        regenerate(["worked.json verdict", "worked.json nonsense"], path, tmp_path)
+    assert path.read_bytes() == GOLDEN.read_bytes()  # nothing written
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        got = {case_id: run_case(argv, doc, tmp, case_id.startswith("ladder_"))
-               for case_id, argv, doc in CASES}
-    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(got)} cases to {GOLDEN}", file=sys.stderr)
+        try:
+            count = regenerate(sys.argv[1:], GOLDEN, tmp)
+        except KeyError as exc:
+            sys.exit(f"test_golden.py: {exc.args[0]}")
+    print(f"wrote {count} cases to {GOLDEN}", file=sys.stderr)

@@ -4,8 +4,9 @@ Every value type of the package is a named tuple.  Its fields cannot be
 assigned, and ``_replace`` on a validated type runs the constructor's
 checks.  The memo of a ``RelativeCI`` lives outside its fields, so it
 takes no part in ``==`` or ``hash``.  Importing the front end loads
-neither ``dataclasses`` nor ``inspect``, which a cold ``relci`` process
-would otherwise pay for.
+neither ``dataclasses`` nor ``inspect`` (nor ``pathlib``, on an
+interpreter without site hooks), which a cold ``relci`` process would
+otherwise pay for.
 """
 
 import json
@@ -103,3 +104,8 @@ def test_front_end_import_loads_neither_dataclasses_nor_inspect(child_env):
     loaded = set(json.loads(proc.stdout))
     assert "relci.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
+    # without site, whose hooks may load it, nothing in the process loads pathlib
+    code = "import sys, relci.cli; print('pathlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
