@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Sequence
 
 from .errors import InputError, shown
 
@@ -182,7 +182,7 @@ def cone(bundle: BundleOverCurve, c: int, label: ConeLabel) -> Fraction:
     (rank, degree); the other two need the Harder-Narasimhan profile.
     """
     if not 1 <= c <= bundle.rank - 1:
-        raise InputError(f"codimension {shown(c)} out of range 1..{bundle.rank - 1}")
+        raise InputError(f"codimension {shown(c)} out of range 1..{shown(bundle.rank - 1)}")
     label = ConeLabel(label)
     if label is ConeLabel.BRIDGE:
         return c * bundle.slope
@@ -190,9 +190,10 @@ def cone(bundle: BundleOverCurve, c: int, label: ConeLabel) -> Fraction:
     return sum(slopes[:c] if label is ConeLabel.PSEFF else slopes[-c:], Fraction(0))
 
 
-class DivisorPositivity(NamedTuple):
-    pseff: bool
-    nef: bool
+class DivisorPositivity(namedtuple("DivisorPositivity", "pseff nef")):
+    """Whether a divisor class k*H - m*S is pseudo-effective and whether it is nef."""
+
+    __slots__ = ()
 
 
 def mn_divisor_test(bundle: BundleOverCurve, k: int, m: int) -> DivisorPositivity:
@@ -202,7 +203,7 @@ def mn_divisor_test(bundle: BundleOverCurve, k: int, m: int) -> DivisorPositivit
     slope; nef iff m/k is at most the smallest.  Exact comparisons.
     """
     if k <= 0:
-        raise InputError(f"divisor H-coefficient must be >= 1, got {k}")
+        raise InputError(f"divisor H-coefficient must be >= 1, got {shown(k)}")
     ratio = Fraction(m, k)
     return DivisorPositivity(pseff=ratio <= bundle.mu_first, nef=ratio <= bundle.mu_last)
 
@@ -240,7 +241,7 @@ def classify(bundle: BundleOverCurve, cls: CycleClass) -> Region:
     (semistable bundle) the innermost matching region is reported.
     """
     if not 1 <= cls.codim <= bundle.rank - 1:
-        raise InputError(f"codimension {cls.codim} out of range 1..{bundle.rank - 1}")
+        raise InputError(f"codimension {shown(cls.codim)} out of range 1..{shown(bundle.rank - 1)}")
     if cls.p < 0:
         raise InputError("cycle class with negative H^c coefficient is not a candidate")
     if cls.p == 0:

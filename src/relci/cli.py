@@ -45,7 +45,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Any
 
 from . import __version__
 from .bundles import BundleOverCurve, ConeLabel, classify, cone
@@ -90,12 +89,7 @@ _MARGIN_ROWS = (("[%s]", ",", '{"e_cleared":"%d","h":"%d","sign":"%s"}'),
                                          '        "sign": "%s"\n      }'))
 
 
-def _fields(report: tuple) -> dict[str, Any]:
-    """A ``VerdictReport``'s fields by name, as ``verdict`` and ``example`` print them."""
-    return dict(zip(("theorem", "hypotheses", "conclusion", "witnesses"), report, strict=True))
-
-
-def _sign_word(value: Any) -> str:
+def _sign_word(value: object) -> str:
     return _SIGN_WORDS[(value > 0) - (value < 0)]
 
 
@@ -118,7 +112,7 @@ def _num(value: int | Fraction) -> str:
         ) from exc
 
 
-def _enc(value: Any) -> Any:
+def _enc(value: object) -> object:
     """Encode report values: every number becomes a decimal string.
 
     Exact types are tested first, since reports are mostly strings, dicts,
@@ -138,7 +132,7 @@ def _enc(value: Any) -> Any:
     raise TypeError(f"cannot encode {value!r} in a report")
 
 
-def _rat(value: Any, field: str) -> Fraction:
+def _rat(value: object, field: str) -> Fraction:
     if type(value) is not int and not (type(value) is str and _RATIONAL.fullmatch(value)):
         raise InputError(f"{field}: rationals must be integers or 'p/q' strings")
     try:
@@ -147,20 +141,20 @@ def _rat(value: Any, field: str) -> Fraction:
         raise InputError(f"{field}: not a rational: {shown(value)}") from exc
 
 
-def _int(value: Any, field: str) -> int:
+def _int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{field}: expected an integer, got {shown(value)}")
     return value
 
 
-def _shaped(value: Any, kind: type, field: str) -> Any:
+def _shaped(value: object, kind: type, field: str) -> object:
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
         raise InputError(f"{field} must be {noun}, got {shown(value)}")
     return value
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     """Read and decode a JSON input file; ``-`` reads standard input."""
     try:
         if path == "-":
@@ -173,7 +167,7 @@ def _read_json(path: str) -> Any:
         raise InputError(f"input file {path} is not valid JSON: {exc}") from exc
 
 
-def instance_from_json(data: Any) -> RelativeCI:
+def instance_from_json(data: object) -> RelativeCI:
     """Decode an instance in the file schema above."""
     _shaped(data, dict, "instance file")
     try:
@@ -301,7 +295,7 @@ def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
 def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
     bundle = X.bundle
     cls = ci_class(X)
-    cone_part: dict[str, Any] = {"class": {"p": cls.p, "q": cls.q}}
+    cone_part: dict[str, object] = {"class": {"p": cls.p, "q": cls.q}}
     if bundle.has_hn:
         cone_part["region"] = classify(bundle, cls).value
         cone_part["thresholds"] = {
@@ -312,10 +306,10 @@ def _cmd_verdict(X: RelativeCI, args: argparse.Namespace) -> dict:
         cone_part["bridge_membership"] = "Inside" if a > 0 else "Boundary" if a == 0 else "Outside"
         cone_part["note"] = "virtual slopes unavailable: bridge membership only"
     return {  # each verdict encoded as it comes: past the digit limit, exit before the next
-        "small_h": _enc(_fields(small_h_verdict(X))),
-        "asymptotic": _enc(_fields(asymptotic_verdict(X))),
-        "slope": _enc(_fields(slope_verdict(X))),
-        "instability": _enc(_fields(instability_verdict(X))),
+        "small_h": _enc(small_h_verdict(X)._asdict()),
+        "asymptotic": _enc(asymptotic_verdict(X)._asdict()),
+        "slope": _enc(slope_verdict(X)._asdict()),
+        "instability": _enc(instability_verdict(X)._asdict()),
         "cone": _enc(cone_part),
     }
 
@@ -383,7 +377,7 @@ def _cmd_oracle(X: RelativeCI, args: argparse.Namespace) -> dict:
     })
 
 
-def _cmd_contact(args: argparse.Namespace) -> tuple[Any, dict]:
+def _cmd_contact(args: argparse.Namespace) -> tuple[object, dict]:
     data = _shaped(_read_json(args.instance), dict, "contact input")
     try:
         weights = WeightFiltration(
@@ -425,7 +419,7 @@ def _cmd_example(args: argparse.Namespace) -> dict:
             "hn": [{"rank": r, "degree": d} for r, d in bundle.hn],
         },
         "ci": {"k": list(X.k), "y": list(X.y)},
-        "verdict": _fields(report),
+        "verdict": report._asdict(),
     })
 
 

@@ -15,10 +15,10 @@ No floating point is used anywhere in the computation path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 __all__ = [
     "binom_trunc",
@@ -42,7 +42,7 @@ def binom_trunc(n: int, m: int) -> int:
     0
     """
     if m < 0:
-        raise InputError(f"binom_trunc: lower index must be >= 0, got {m}")
+        raise InputError(f"binom_trunc: lower index must be >= 0, got {shown(m)}")
     if n < m:
         return 0
     return comb(n, m)

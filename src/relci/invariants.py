@@ -48,7 +48,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, prod
-from typing import NamedTuple
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError, shown
@@ -94,7 +93,8 @@ class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
             raise InputError("k and y must have the same length")
         if not 1 <= len(k) <= bundle.rank - 2:
             raise InputError(
-                f"codimension {len(k)} out of range 1..{bundle.rank - 2} for rank {bundle.rank}"
+                f"codimension {len(k)} out of range 1..{shown(bundle.rank - 2)} "
+                f"for rank {shown(bundle.rank)}"
             )
         if any(ki < 2 for ki in k):
             raise InputError("every hypersurface degree k_i must be >= 2")
@@ -160,12 +160,10 @@ class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
         return {"run": ((), ())}
 
 
-class PushforwardSummary(NamedTuple):
+class PushforwardSummary(namedtuple("PushforwardSummary", "h rank degree")):
     """Rank and degree of the pushforward of O_X(h) along f."""
 
-    h: int
-    rank: int
-    degree: int
+    __slots__ = ()
 
 
 def h_top(X: RelativeCI) -> int:
@@ -239,7 +237,7 @@ def positivity_margin(X: RelativeCI, h: int) -> int:
     the normalised value divides it by the rank, at least r for h >= 1.
     """
     if h < 1:
-        raise InputError(f"positivity margin needs h >= 1, got {h}")
+        raise InputError(f"positivity margin needs h >= 1, got {shown(h)}")
     pf = pushforward(X, h)
     n = X.dim
     return h ** (n - 1) * (h * h_top(X) * pf.rank - n * fibre_deg(X) * pf.degree)
@@ -368,11 +366,10 @@ def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in out)
 
 
-class CanonicalClass(NamedTuple):
+class CanonicalClass(namedtuple("CanonicalClass", "h_coeff fibre_coeff")):
     """Relative canonical class K_f = h_coeff * H_X - fibre_coeff * F."""
 
-    h_coeff: int
-    fibre_coeff: int
+    __slots__ = ()
 
     @property
     def general_type_fibres(self) -> bool:
@@ -411,7 +408,7 @@ def omega_pushforward(X: RelativeCI) -> PushforwardSummary:
     if not kc.general_type_fibres:
         raise HypothesisError(
             f"relative canonical class is not ample in the needed sense: "
-            f"k_sum = {X.k_sum} <= rank = {X.rank}"
+            f"k_sum = {shown(X.k_sum)} <= rank = {shown(X.rank)}"
         )
     pf = pushforward(X, kc.h_coeff)
     return PushforwardSummary(pf.h, pf.rank, pf.degree - kc.fibre_coeff * pf.rank)
@@ -438,7 +435,10 @@ def canonical_margin(X: RelativeCI) -> int:
     return twisted
 
 
-class SurfaceFormulaReport(NamedTuple):
+class SurfaceFormulaReport(namedtuple(
+    "SurfaceFormulaReport",
+    "kf2_formula deg_omega_formula ratio_holds matches_top_power matches_pushforward",
+)):
     """Closed surface formulas (c = r - 2, balanced) versus direct values.
 
     ``kf2_formula`` and ``deg_omega_formula`` are the closed forms in
@@ -448,11 +448,7 @@ class SurfaceFormulaReport(NamedTuple):
     proportionality between the two.
     """
 
-    kf2_formula: int
-    deg_omega_formula: Fraction
-    ratio_holds: bool
-    matches_top_power: bool
-    matches_pushforward: bool
+    __slots__ = ()
 
 
 def surface_formula_check(X: RelativeCI) -> SurfaceFormulaReport:

@@ -23,9 +23,9 @@ Enumeration sizes grow like binom(h + r - 1, r - 1); the intended range
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import NamedTuple
 
 from .bundles import BundleOverCurve, CycleClass
 from .errors import InputError, InternalCheckError, shown
@@ -59,7 +59,7 @@ def sym_degree_bruteforce(bundle: BundleOverCurve, a: int, twist: int) -> int:
     element.  For a = 0 this is just -twist (the trivial summand).
     """
     if a < 0:
-        raise InputError(f"symmetric power exponent must be >= 0, got {a}")
+        raise InputError(f"symmetric power exponent must be >= 0, got {shown(a)}")
     if bundle.line_degrees is None:
         raise InputError("brute-force oracles need a split bundle (BundleOverCurve.split)")
     total = sum(sum(pick) for pick in combinations_with_replacement(bundle.line_degrees, a))
@@ -75,7 +75,7 @@ def koszul_degree_bruteforce(X: RelativeCI, h: int) -> int:
     contribute nothing.  Independent of the closed degree formula.
     """
     if h < 0:
-        raise InputError(f"twist h must be >= 0, got {h}")
+        raise InputError(f"twist h must be >= 0, got {shown(h)}")
     total = 0
     for size in range(X.codim + 1):
         for I in combinations(zip(X.k, X.y), size):
@@ -94,7 +94,7 @@ def hilbert_series_rank(k: tuple[int, ...], r: int, h: int) -> int:
     truncated multiplication, no binomial identities involved.
     """
     if h < 0:
-        raise InputError(f"series coefficient index must be >= 0, got {h}")
+        raise InputError(f"series coefficient index must be >= 0, got {shown(h)}")
     num = [0] * (h + 1)
     num[0] = 1
     for ki in k:
@@ -149,13 +149,10 @@ class ChowClass:
         return f"ChowClass(codim={self.codim}, u={self.u}, v={self.v})"
 
 
-class ChowSummary(NamedTuple):
+class ChowSummary(namedtuple("ChowSummary", "h_top fibre_deg kf_top ci_class")):
     """Intersection numbers recomputed symbolically, bypassing closed forms."""
 
-    h_top: int
-    fibre_deg: int
-    kf_top: int
-    ci_class: CycleClass
+    __slots__ = ()
 
 
 def chow_expand(X: RelativeCI) -> ChowSummary:

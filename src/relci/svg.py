@@ -54,7 +54,7 @@ def cone_diagram(codim: int, thresholds: dict[ConeLabel, Fraction], coincide: bo
     for cone_label, t in thresholds.items():
         label = cone_label.value
         end = _ray_end(t)
-        colour = _STYLE.get(label, "#555555")
+        colour = _STYLE[label]
         parts.append(
             f'<path d="M {_fmt(_ORIGIN[0])} {_fmt(_ORIGIN[1])} '
             f'L {_fmt(up[0])} {_fmt(up[1])} L {_fmt(end[0])} {_fmt(end[1])} Z" '

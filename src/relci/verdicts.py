@@ -28,7 +28,6 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import ceil
-from typing import Any, NamedTuple
 
 from .bundles import BundleOverCurve, mn_divisor_test
 from .errors import InputError, InternalCheckError, shown
@@ -69,7 +68,7 @@ class VerdictReport(namedtuple("VerdictReport", "theorem hypotheses conclusion w
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __new__(cls, theorem: str, hypotheses: dict[str, bool], conclusion: str,
-                witnesses: dict[str, Any] | None = None) -> "VerdictReport":
+                witnesses: dict[str, object] | None = None) -> "VerdictReport":
         witnesses = {} if witnesses is None else witnesses
         self = super().__new__(cls, theorem, hypotheses, conclusion, witnesses)
         if not self.hypotheses_ok and conclusion not in _NO_CONCLUSION:
@@ -203,7 +202,7 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
     holds exactly when the margins end negative.  When the excess fails
     there is no conclusion either way.
     """
-    witnesses: dict[str, Any] = {"ratio_sum": X.ratio_sum, "c_mu": X.codim * X.bundle.slope}
+    witnesses: dict[str, object] = {"ratio_sum": X.ratio_sum, "c_mu": X.codim * X.bundle.slope}
     if alpha_invariant(X) >= 0:
         return VerdictReport(
             theorem="Instability",
@@ -284,13 +283,10 @@ def build_example(
     return bundle, X, report
 
 
-class SweepResult(NamedTuple):
+class SweepResult(namedtuple("SweepResult", "margins stable_poly sign_stable_from eventual_sign")):
     """Cleared margins for h = 1..h_max plus exact stabilisation data."""
 
-    margins: tuple[int, ...]
-    stable_poly: tuple[Fraction, ...]
-    sign_stable_from: int
-    eventual_sign: int
+    __slots__ = ()
 
 
 def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:

@@ -6,6 +6,8 @@ import pytest
 
 from relci import (
     BundleOverCurve,
+    ConeLabel,
+    CycleClass,
     HypothesisError,
     InputError,
     InternalCheckError,
@@ -15,15 +17,21 @@ from relci import (
     canonical_class,
     canonical_margin,
     canonical_top_power,
+    classify,
+    cone,
     effectivity_violations,
     fibre_deg,
     h_top,
+    hilbert_series_rank,
+    koszul_degree_bruteforce,
+    mn_divisor_test,
     omega_pushforward,
     positivity_margin,
     positivity_margins,
     pushforward,
     stable_margin_poly,
     surface_formula_check,
+    sym_degree_bruteforce,
 )
 from relci import invariants
 from relci.exact import binom_trunc
@@ -428,3 +436,30 @@ class TestEffectivity:
     def test_silent_without_hn(self):
         X = plain(4, 4, (3, 3), (50, 50))
         assert effectivity_violations(X) == ()
+
+
+# past the interpreter's limit for decimal text, so a message must name it by its size
+BIG = 10**5000
+SPLIT = RelativeCI(BundleOverCurve.split((1, 1, 1, 1)), (3, 3), (1, 2))
+HUGE_RANK = BundleOverCurve(BIG, 0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: positivity_margin(WORKED, -BIG), InputError),
+    (lambda: koszul_degree_bruteforce(SPLIT, -BIG), InputError),
+    (lambda: sym_degree_bruteforce(SPLIT.bundle, -BIG, 0), InputError),
+    (lambda: hilbert_series_rank((3, 3), 4, -BIG), InputError),
+    (lambda: mn_divisor_test(SPLIT.bundle, -BIG, 0), InputError),
+    (lambda: binom_trunc(0, -BIG), InputError),
+    (lambda: classify(HUGE_RANK, CycleClass(3 * BIG, 1, 0)), InputError),
+    (lambda: cone(HUGE_RANK, 3 * BIG, ConeLabel.BRIDGE), InputError),
+    (lambda: omega_pushforward(RelativeCI(HUGE_RANK, (2,), (0,))), HypothesisError),
+    (lambda: RelativeCI(HUGE_RANK, (), ()), InputError),
+], ids=["positivity_margin", "koszul_degree_bruteforce", "sym_degree_bruteforce",
+        "hilbert_series_rank", "mn_divisor_test", "binom_trunc", "classify", "cone",
+        "omega_pushforward", "relative_ci_codim"])
+def test_long_values_are_named_by_size(call, error):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert "an int of 500" in str(caught.value) and len(str(caught.value)) < 200

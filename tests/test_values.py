@@ -1,10 +1,11 @@
 """Value types are tuples: immutable, validated on ``_replace``, cheap to define.
 
-Every value type of the package is a named tuple.  Its fields cannot be
-assigned, and ``_replace`` on a validated type runs the constructor's
-checks.  The memo of a ``RelativeCI`` lives outside its fields, so it
-takes no part in ``==`` or ``hash``.  Importing the front end loads
-neither ``dataclasses`` nor ``inspect`` (nor ``pathlib``, on an
+Every value type of the package is a ``collections.namedtuple`` subclass.
+Its fields cannot be assigned and it takes no new attributes, and
+``_replace`` on a validated type runs the constructor's checks.  The
+memo of a ``RelativeCI`` lives outside its fields, so it takes no part
+in ``==`` or ``hash``.  Importing the front end loads neither
+``dataclasses`` nor ``inspect`` (nor ``pathlib`` or ``typing``, on an
 interpreter without site hooks), which a cold ``relci`` process would
 otherwise pay for.
 """
@@ -28,6 +29,7 @@ from relci import (
     canonical_class,
     chow_expand,
     h_sweep,
+    mn_divisor_test,
     positivity_margins,
     pushforward,
     surface_formula_check,
@@ -51,6 +53,7 @@ VALUES = {
     "SurfaceFormulaReport": (surface_formula_check(X), "ratio_holds"),
     "ChowSummary": (chow_expand(X), "kf_top"),
     "SweepResult": (h_sweep(X, 3), "margins"),
+    "DivisorPositivity": (mn_divisor_test(X.bundle, 1, 0), "nef"),
 }
 
 
@@ -60,6 +63,8 @@ def test_fields_cannot_be_assigned(name):
     assert type(value).__name__ == name
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):  # a subclass without __slots__ = () would take it
+        setattr(value, "extra", 1)
 
 
 def test_cached_properties_cannot_be_assigned():
@@ -104,8 +109,9 @@ def test_front_end_import_loads_neither_dataclasses_nor_inspect(child_env):
     loaded = set(json.loads(proc.stdout))
     assert "relci.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
-    # without site, whose hooks may load it, nothing in the process loads pathlib
-    code = "import sys, relci.cli; print('pathlib' in sys.modules)"
+    # without site, whose hooks may load pathlib and typing, nothing in the process loads any
+    code = ("import sys, relci.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env, capture_output=True,
                           text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
