@@ -13,11 +13,10 @@ Everything here is an exact integer or rational identity in the data
 
 * top self-intersection of the tautological class on X and on F;
 * rank and degree of the pushforward of O_X(h), together from one
-  alternating Koszul sum over index subsets (``pushforward``; its global
-  /r always cancels, asserted), or for a run h = 0..H of twists
-  (``positivity_margins``) from running sums of the subset tables, held
-  to the direct sum at its last twist and at every memoised twist; both
-  are memoised on the instance;
+  alternating Koszul sum over index subsets (``pushforward``, memoised
+  on the instance by twist; its global /r always cancels, asserted), or
+  for a run h = 0..H of twists (``positivity_margins``) from running
+  sums of the subset tables, held to ``pushforward`` at its last twist;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -155,9 +154,9 @@ class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
 
     @cached_property
     def _memo(self) -> dict:
-        """Pushforwards by twist, the longest run and the stable polynomial, per
-        instance; not a field, so ``==`` and ``hash`` ignore it."""
-        return {"run": ((), ())}
+        """Pushforwards by twist and the stable polynomial, per instance; not
+        a field, so ``==`` and ``hash`` ignore it."""
+        return {}
 
 
 class PushforwardSummary(namedtuple("PushforwardSummary", "h rank degree")):
@@ -191,17 +190,14 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     weights it by ((h - k_I) * d + y_I * r) / r.  One binomial per level
     feeds both.  The global /r of the degree always cancels in the
     total; a non-integral result would mean a transcribed-formula bug
-    and aborts hard.  This direct sum serves lone twists; a twist inside
-    the longest run of ``positivity_margins`` so far is read off that run.
+    and aborts hard.
     """
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {shown(h)}")
     memo = X._memo
     pf = memo.get(h)
     if pf is None:
-        ranks, degrees = memo["run"]
-        pf = PushforwardSummary(h, ranks[h], degrees[h]) if h < len(ranks) else _koszul_sum(X, h)
-        memo[h] = pf
+        pf = memo[h] = _koszul_sum(X, h)
     return pf
 
 
@@ -250,34 +246,26 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
     running sums of cnt give every rank up to h_max.  Since
     (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is
     d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
-    Additions only, and no object per twist.  The memo keeps the longest
-    run, which shorter runs and ``pushforward`` read off.  A longer run
-    is built and held to the direct Koszul sum at its last twist (which
-    also asserts degree integrality) and to every memoised twist it
-    covers; a mismatch aborts hard, so each margin is the one
-    ``positivity_margin`` returns.
+    Additions only, no object per twist, and the run is not kept.  It is
+    held to ``pushforward`` at its last twist (whose direct sum also
+    asserts degree integrality); a mismatch aborts hard, so each margin
+    is the one ``positivity_margin`` returns.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {shown(h_max)}")
-    memo = X._memo
-    ranks, degrees = memo["run"]
-    if len(ranks) <= h_max:
-        # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
-        ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
-        for _ in range(X.rank):
-            ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
-        d = X.degree
-        degrees = [d * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
-        if h_max not in memo:
-            memo[h_max] = _koszul_sum(X, h_max)
-        for h, pf in list(memo.items()):  # a snapshot: other threads may add twists
-            if type(h) is int and h <= h_max and (pf.rank, pf.degree) != (ranks[h], degrees[h]):
-                raise InternalCheckError(
-                    f"run of twists disagrees with the Koszul sum at h={shown(h)}: rank, "
-                    f"degree {shown(ranks[h])}, {shown(degrees[h])} vs {shown(pf.rank)}, "
-                    f"{shown(pf.degree)}"
-                )
-        memo["run"] = ranks, degrees
+    # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
+    ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
+    for _ in range(X.rank):
+        ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
+    d = X.degree
+    degrees = [d * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
+    pf = pushforward(X, h_max)
+    if (pf.rank, pf.degree) != (ranks[h_max], degrees[h_max]):
+        raise InternalCheckError(
+            f"run of twists disagrees with the Koszul sum at h={shown(h_max)}: rank, "
+            f"degree {shown(ranks[h_max])}, {shown(degrees[h_max])} vs {shown(pf.rank)}, "
+            f"{shown(pf.degree)}"
+        )
     n = X.dim
     top, nfib = h_top(X), n * fibre_deg(X)  # positivity_margin's formula, over the run
     return tuple([

@@ -13,8 +13,8 @@ which the tests hold to ``positivity_margin``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from relci import InputError, RelativeCI, alpha_invariant, binom_trunc, positivity_margin
 

@@ -482,7 +482,8 @@ class TestEachTwistOnce:
     """Within one command every (instance, twist) pair reaches the Koszul sum once.
 
     A lone twist takes the direct sum; a run of twists reaches it only at
-    its last twist, the cross-check of the run's prefix sums."""
+    its last twist, the cross-check of the run's prefix sums, and keeps
+    nothing, so a lone twist inside a run still takes its own sum."""
 
     @pytest.mark.parametrize("argv, twists", [
         (["invariants", "-h", "7"], {7}),
@@ -506,9 +507,10 @@ class TestEachTwistOnce:
         assert {n for n in seen.values() if n > 1} == set()
         assert {h for _, h in seen} == twists
 
-    def test_hypersurface_band_reaches_the_sum_at_its_end(self, capsys, monkeypatch, tmp_path):
+    def test_hypersurface_band_end_and_canonical_twist_reach_the_sum_once(self, capsys, monkeypatch,
+                                                                          tmp_path):
         # band 1..1999 is one run checked at 1999; the canonical twist
-        # 2000 - 80 = 1920 lies inside it and is a memo hit
+        # 2000 - 80 = 1920 lies inside it and takes its own sum
         path = tmp_path / "hyper.json"
         path.write_text(json.dumps({"bundle": {"rank": 80, "degree": 17},
                                     "ci": {"k": [2000], "y": [3]}}), encoding="utf-8")
@@ -522,7 +524,7 @@ class TestEachTwistOnce:
         rebind(monkeypatch, true_sum, counted)
         code, _, _ = run_main(capsys, "verdict", "-i", str(path))
         assert code == 0
-        assert seen == [1999]
+        assert seen == [1999, 1920]
 
     def test_sweep_exits_3_when_run_and_direct_sum_disagree(self, capsys, monkeypatch, worked_file):
         true_sum = invariants._koszul_sum

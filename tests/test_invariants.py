@@ -1,5 +1,8 @@
 import random
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -139,11 +142,12 @@ class TestMarginRuns:
 
     @staticmethod
     def assert_run_matches_direct(r, d, k, y, h_max):
-        X, fresh = plain(r, d, k, y), plain(r, d, k, y)
-        run = positivity_margins(X, h_max)
-        assert run == tuple(positivity_margin(fresh, h) for h in range(1, h_max + 1))
-        for h in range(h_max + 1):
-            assert pushforward(X, h) == pushforward(fresh, h)
+        run = positivity_margins(plain(r, d, k, y), h_max)
+        assert run == tuple(positivity_margin(plain(r, d, k, y), h) for h in range(1, h_max + 1))
+        # a run checks its own rank and degree at its last twist, which its
+        # margins alone miss when h_top is 0; so end one run at every twist
+        for h in range(1, h_max):
+            assert positivity_margins(plain(r, d, k, y), h) == run[:h]
 
     @pytest.mark.parametrize("r, d, k, y, h_max", [
         (4, 4, (3, 3), (1, 2), 40),
@@ -183,24 +187,8 @@ class TestMarginRuns:
         monkeypatch.setattr(invariants, "_koszul_sum", counted)
         return seen
 
-    @pytest.mark.parametrize("r, d, k, y, h_max", [
-        (4, 4, (3, 3), (1, 2), 40),
-        (30, 17, tuple(range(2, 22)), tuple(range(-10, 10)), 60),
-    ], ids=["W", "M"])
-    def test_run_serves_its_twists(self, monkeypatch, r, d, k, y, h_max):
-        X = plain(r, d, k, y)
-        positivity_margins(X, h_max)
-        direct = invariants._koszul_sum
-        seen = self.count_sums(monkeypatch)
-        for h in range(h_max + 1):
-            assert pushforward(X, h) == direct(plain(r, d, k, y), h)
-        assert seen == []
-        assert pushforward(X, h_max + 1) == direct(plain(r, d, k, y), h_max + 1)
-        assert seen == [h_max + 1]
-
-    # a run inside the memo's run reads it off; a longer one is built and
-    # held to the direct sum at its own last twist
-    @pytest.mark.parametrize("first, second, sums", [(60, 25, [60]), (25, 60, [25, 60])],
+    # each run is built afresh and held to the direct sum at its own last twist
+    @pytest.mark.parametrize("first, second, sums", [(60, 25, [60, 25]), (25, 60, [25, 60])],
                              ids=["shorter_after_longer", "longer_after_shorter"])
     def test_second_run(self, monkeypatch, first, second, sums):
         r, d, k, y = 30, 17, tuple(range(2, 22)), tuple(range(-10, 10))
@@ -209,22 +197,19 @@ class TestMarginRuns:
         seen = self.count_sums(monkeypatch)
         positivity_margins(X, first)
         run = positivity_margins(X, second)
-        pushforwards = [pushforward(X, h) for h in range(max(first, second) + 1)]
         assert seen == sums
+        pushforwards = [pushforward(X, h) for h in range(max(first, second) + 1)]
         assert run == tuple(positivity_margin(plain(r, d, k, y), h) for h in range(1, second + 1))
         assert pushforwards == [direct(plain(r, d, k, y), h) for h in range(max(first, second) + 1)]
-
-    def test_wrong_memoised_twist_inside_the_run_is_caught(self):
-        # a memoised entry inside a new run is held to it, not taken over
-        X = plain(5, 3, (2, 3), (1, -1))
-        pf = pushforward(X, 4)
-        X._memo[4] = PushforwardSummary(4, pf.rank + 1, pf.degree)
-        with pytest.raises(InternalCheckError, match=r"at h=4: rank, degree 50, 137 vs 51, 137$"):
-            positivity_margins(X, 9)
 
     def test_rejects_nonpositive_h_max(self):
         with pytest.raises(InputError):
             positivity_margins(WORKED, 0)
+
+    def test_run_keeps_nothing(self):
+        X = plain(4, 4, (3, 3), (1, 2))
+        positivity_margins(X, 5000)
+        assert list(X._memo) == [5000]
 
     def test_wrong_memoised_last_twist_is_caught(self):
         X = plain(4, 4, (3, 3), (1, 2))
@@ -232,6 +217,39 @@ class TestMarginRuns:
         X._memo[6] = PushforwardSummary(6, pf.rank, pf.degree + 1)
         with pytest.raises(InternalCheckError, match=r"at h=6: "):
             positivity_margins(X, 6)
+
+
+class TestSharedInstance:
+    # the memo of one instance is filled by whichever thread gets there
+    # first; every value must still be the one a fresh instance gives
+    MIXES = [
+        [(positivity_margins, 60), (pushforward, 30), (pushforward, 61), (stable_margin_poly,)],
+        [(positivity_margins, 25), (positivity_margins, 60), (canonical_margin,)],
+        [(pushforward, 200), (positivity_margins, 200), (pushforward, 25)],
+        [(stable_margin_poly,), (positivity_margins, 120), (pushforward, 60)],
+        [(canonical_margin,), (pushforward, 0), (positivity_margins, 25)],
+        [(positivity_margins, 200), (stable_margin_poly,), (pushforward, 120)],
+        [(pushforward, 60), (canonical_margin,), (positivity_margins, 61)],
+        [(positivity_margins, 120), (pushforward, 200), (pushforward, 250), (stable_margin_poly,)],
+    ]
+
+    def test_eight_threads_on_one_instance(self):
+        r, d, k, y = 30, 17, tuple(range(2, 22)), tuple(range(-10, 10))
+        expected = [[f(plain(r, d, k, y), *args) for f, *args in mix] for mix in self.MIXES]
+        X, start = plain(r, d, k, y), threading.Barrier(len(self.MIXES))
+
+        def calls(mix):
+            start.wait()
+            return [f(X, *args) for _ in range(3) for f, *args in mix]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that the calls interleave
+        try:
+            with ThreadPoolExecutor(max_workers=len(self.MIXES)) as pool:
+                got = list(pool.map(calls, self.MIXES))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want * 3 for want in expected]
 
 
 class TestStablePoly:
