@@ -46,7 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError, shown
@@ -141,7 +141,7 @@ class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
     def balanced(self) -> bool:
         return len(set(self.k)) == 1
 
-    @property
+    @cached_property
     def ratio_sum(self) -> Fraction:
         """sum_i y_i / k_i, the quantity compared against c * mu(E)."""
         return sum((Fraction(yi, ki) for ki, yi in zip(self.k, self.y)), Fraction(0))
@@ -290,20 +290,34 @@ def stable_margin_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     return poly
 
 
-def _moments(coeffs: tuple[int, ...], count: int) -> list[int]:
-    """Coefficients of sum_s coeffs[s] * t^s in powers of (1 - t), orders 0..count-1.
+def _moments(cnt: tuple[int, ...], val: tuple[int, ...], count: int) -> tuple[list[int], list[int]]:
+    """Coefficients of cnt(t) and val(t) in powers of (1 - t), orders 0..count-1.
 
-    Repeated synthetic division by (t - 1): running sums of the
-    coefficients, highest power first, end in the remainder (the next
-    Taylor coefficient at t = 1) and leave the quotient before it.
-    Zero-padded at the top, so orders past the degree come out 0.
+    One pass for both tables, over the packed coefficients
+    (cnt[s] << shift) + val[s]: repeated synthetic division by (t - 1), whose
+    running sums of the coefficients, highest power first, end in the
+    remainder (the next Taylor coefficient at t = 1) and leave the
+    quotient before it.  Zero-padded at the top, so orders past the
+    degree come out 0.  Each packed moment then splits into its
+    balanced halves.
     """
-    rest = [0] * (count - len(coeffs)) + list(reversed(coeffs))
-    out = []
+    # The pass is linear, so the i-th packed moment is b_i * 2^shift + v_i
+    # with v_i = (-1)^i * sum_s val[s] * C(s, i).  For i < count and
+    # s < len(val), C(s, i) <= C(s + count - 1, count - 1) <= C(len(val) +
+    # count - 1, count - 1) by Vandermonde, so |v_i| < 2^(shift-2) and v_i
+    # is the balanced remainder mod 2^shift.
+    shift = (sum(map(abs, val)).bit_length()
+             + comb(len(val) + count - 1, count - 1).bit_length() + 2)
+    rest = [0] * (count - len(cnt)) + [(x << shift) + y for x, y in zip(reversed(cnt), reversed(val))]
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    b, v = [], []
     for i in range(count):
         rest = list(accumulate(rest))
-        out.append((-1) ** i * rest.pop())
-    return out
+        moment = (-1) ** i * rest.pop()
+        low = ((moment + half) & mask) - half
+        b.append((moment - low) >> shift)
+        v.append(low)
+    return b, v
 
 
 def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
@@ -316,14 +330,14 @@ def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     the case p = t * cnt, R = r + 1 (moments b_i - b_(i-1)), plus the
     case p = val, R = r.  All three hold for h > k_sum - r.
 
+    One pass of ``_moments`` gives the moments of both tables.
     cnt = prod (1 - t^k_i) vanishes to order c at t = 1 and val to order
     c - 1, so no C(h + m, m) with m > dim X occurs; this is asserted, and
     so is the cancellation of the degree-(dim X) coefficient.  The basis
     goes to monomials in integers over the single denominator (dim X)!.
     """
     r, c, n = X.rank, X.codim, X.dim
-    cnt, val = X.tables
-    b, v = _moments(cnt, r + 1), _moments(val, r)
+    b, v = _moments(*X.tables, r + 1)
     if any(b[:c]) or any(v[: c - 1]):
         raise InternalCheckError(
             f"subset table moments below order c = {shown(c)} (c - 1 for val) do not vanish: "
@@ -333,7 +347,7 @@ def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     tb = [x - y for x, y in zip(b, [0, *b])]
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
     rank_c = b[c:r][::-1] + [0]
-    deg_c = [X.degree * x + y for x, y in zip(tb[c:][::-1], v[c - 1:][::-1])]
+    deg_c = [X.degree * x + y for x, y in zip(tb[c:][::-1], v[c - 1 : r][::-1])]
     h_t, fib = h_top(X), fibre_deg(X)
     den = factorial(n)
     out = [0] * (n + 2)

@@ -8,13 +8,16 @@ A polynomial is its tuple of coefficients by power of the variable,
 trailing zeros trimmed, as ``stable_margin_poly`` returns it; ``horner``
 evaluates one exactly, which the library never needs.
 ``balanced_margin`` is a closed form of the margin for balanced data,
-which the tests hold to ``positivity_margin``.
+which the tests hold to ``positivity_margin``.  ``two_pass_moments``
+takes the moments of each subset table on its own, from their
+definition, for the tests of the one packed pass that the library makes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import comb
 
 from relci import InputError, RelativeCI, alpha_invariant, binom_trunc, positivity_margin
 
@@ -110,3 +113,17 @@ def balanced_margin(X: RelativeCI, h: int) -> int:
         for j in range(c)
     )
     return alpha_invariant(X) * (h * first - n * k * second)
+
+
+def two_pass_moments(
+    cnt: Sequence[int], val: Sequence[int], count: int
+) -> tuple[list[int], list[int]]:
+    """Coefficients of cnt(t) and val(t) in powers of (1 - t), orders 0..count-1.
+
+    One table at a time, from the expansion
+    sum_s a_s t^s = sum_i (-1)^i (1 - t)^i sum_s a_s C(s, i).
+    """
+    def moments(coeffs: Sequence[int]) -> list[int]:
+        return [(-1) ** i * sum(a * comb(s, i) for s, a in enumerate(coeffs)) for i in range(count)]
+
+    return moments(cnt), moments(val)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,22 +31,81 @@ class TestBinomTrunc:
         assert binom_trunc(n, m) == binom_trunc(n - 1, m - 1) + binom_trunc(n - 1, m)
 
 
+def enumerated_tables(k, y):
+    """The signed subset tables of (k, y), one subset at a time."""
+    c, total = len(k), sum(k)
+    cnt, val = [0] * (total + 1), [0] * (total + 1)
+    for size in range(c + 1):
+        for I in combinations(range(c), size):
+            s = sum(k[i] for i in I)
+            cnt[s] += (-1) ** size
+            val[s] += (-1) ** size * sum(y[i] for i in I)
+    return cnt, val
+
+
+def slot_words(k, y):
+    """64-bit words per packed slot: ceil((c + bitlen(sum |y_i|) + 2) / 64)."""
+    return -(-(len(k) + sum(map(abs, y)).bit_length() + 2) // 64)
+
+
 class TestSignedTables:
     def test_matches_enumeration(self, rng):
         for _ in range(50):
             c = rng.randint(1, 6)
             k = [rng.randint(1, 5) for _ in range(c)]
             y = [rng.randint(-7, 7) for _ in range(c)]
-            cnt, val = signed_subset_tables(k, y)
-            total = sum(k)
-            want_cnt = [0] * (total + 1)
-            want_val = [0] * (total + 1)
-            for size in range(c + 1):
-                for I in combinations(range(1, c + 1), size):
-                    s = sum(k[i - 1] for i in I)
-                    want_cnt[s] += (-1) ** size
-                    want_val[s] += (-1) ** size * sum(y[i - 1] for i in I)
-            assert cnt == want_cnt and val == want_val
+            assert signed_subset_tables(k, y) == enumerated_tables(k, y)
+
+    @pytest.mark.parametrize("c", [2, 7, 12, 16])
+    def test_equal_weights_fill_the_count_slot(self, rng, c):
+        # every subset of a size lands on one level: |cnt| peaks at C(c, c/2)
+        k = [3] * c
+        y = [rng.randint(-9, 9) for _ in range(c)]
+        cnt, val = signed_subset_tables(k, y)
+        assert (cnt, val) == enumerated_tables(k, y)
+        assert max(map(abs, cnt)) == comb(c, c // 2)
+
+    def test_huge_values_of_mixed_sign(self, rng):
+        for _ in range(20):
+            c = rng.randint(1, 8)
+            k = [rng.randint(1, 6) for _ in range(c)]
+            y = [rng.choice([-1, 1]) * rng.randint(0, 10**40) for _ in range(c)]
+            assert signed_subset_tables(k, y) == enumerated_tables(k, y)
+        assert slot_words(k, y) == 3
+
+    @pytest.mark.parametrize("c", [1, 5, 12])
+    def test_all_zero_values(self, c):
+        k = list(range(2, 2 + c))
+        cnt, val = signed_subset_tables(k, [0] * c)
+        assert (cnt, val) == enumerated_tables(k, [0] * c)
+        assert not any(val)
+
+    @pytest.mark.parametrize("c, y_top", [(12, 2**51), (8, 2**55 - 1), (14, 2**120)],
+                             ids=["2^51", "2^55-1", "2^120"])
+    def test_multi_word_slots(self, rng, c, y_top):
+        # c + bitlen(sum |y|) > 62: a slot takes two or more 64-bit words
+        k = [rng.randint(1, 4) for _ in range(c)]
+        y = [y_top, -y_top, *(rng.randint(-y_top, y_top) for _ in range(c - 2))]
+        assert c + sum(map(abs, y)).bit_length() > 62 and slot_words(k, y) >= 2
+        assert signed_subset_tables(k, y) == enumerated_tables(k, y)
+
+    def test_codimension_past_one_word(self):
+        # c = 70 unit weights: cnt[s] = (-1)^s C(70, s) and
+        # val[s] = (-1)^s * y * s * C(70, s), past what 64-bit slots hold
+        c, y = 70, -(10**6)
+        cnt, val = signed_subset_tables([1] * c, [y] * c)
+        assert slot_words([1] * c, [y] * c) == 2
+        assert cnt == [(-1) ** s * comb(c, s) for s in range(c + 1)]
+        assert val == [(-1) ** s * y * s * comb(c, s) for s in range(c + 1)]
+
+    @pytest.mark.parametrize("y", [0, 7, -(10**30)])
+    def test_lone_heavy_hypersurface(self, y):
+        cnt, val = signed_subset_tables([10000], [y])
+        assert cnt == [1, *[0] * 9999, -1]
+        assert val == [*[0] * 10000, -y]
+
+    def test_no_items(self):
+        assert signed_subset_tables([], []) == ([1], [0])
 
     @given(st.lists(st.tuples(st.integers(1, 8), st.integers(-9, 9)), min_size=1, max_size=6),
            st.data())

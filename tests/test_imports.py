@@ -13,6 +13,9 @@ at any depth of its source.  ``InternalCheckError``
 carries its message alone: the front end names the instance of an exit 3,
 so no module passes one to the exception or reads one off it.  The
 README's "Library layout" table names only types that ``relci`` exports.
+The compute path stays exact: no module but the drawing code ``svg``
+holds a float literal or calls ``float``, or takes from ``math`` any
+but its integer functions.
 """
 
 import ast
@@ -28,6 +31,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "relci"
 README = SRC.parents[1] / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 NAMEDTUPLE_API = {n for n in dir(namedtuple("T", "")) if n.startswith("_") and not n.endswith("__")}
+INTEGER_MATH = {"comb", "factorial", "prod", "ceil", "gcd", "isqrt"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -156,6 +160,29 @@ def test_internal_check_errors_carry_only_a_message(path):
         and isinstance(node.value, ast.Name) and node.value.id in caught
     ]
     assert extra + read == [], f"{path.name} passes an instance with an internal check error or reads one"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "svg"], ids=lambda p: p.name)
+def test_compute_path_stays_exact(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    math_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "math"
+    }
+    inexact = [
+        f"{ast.unparse(node)}: {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+        or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in math_names and node.attr not in INTEGER_MATH
+    ] + [
+        f"math.{alias.name}: {node.lineno}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names if alias.name not in INTEGER_MATH
+    ]
+    assert inexact == [], f"{path.name} computes with floats"
 
 
 def test_readme_layout_names_exported_types():

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relci import (
     BundleOverCurve,
@@ -39,7 +40,7 @@ from relci import (
 from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
-from tests.oracle_poly import balanced_margin, sampled_stable_poly
+from tests.oracle_poly import balanced_margin, sampled_stable_poly, two_pass_moments
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -276,6 +277,18 @@ class TestStablePoly:
         X = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))  # fresh tables
         with pytest.raises(InternalCheckError, match="moments below order c = 2"):
             stable_margin_poly(X)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-10**60, 10**60), min_size=n, max_size=n),
+        st.lists(st.integers(-10**60, 10**60), min_size=n, max_size=n),
+    )), st.integers(1, 40))
+    @example(([10**60] * 30, [10**60] * 30), 40)
+    @example(([-(10**60)] * 30, [(-1) ** s * 10**60 for s in range(30)]), 31)
+    def test_one_packed_pass_equals_two_passes(self, tables, count):
+        # the packed moments split back exactly, whatever the entries:
+        # the packing width is sized from the val table it is given
+        cnt, val = tables
+        assert invariants._moments(tuple(cnt), tuple(val), count) == two_pass_moments(cnt, val, count)
 
     @pytest.mark.parametrize("r, d, k, y", [
         (4, 4, (3, 3), (1, 2)),
