@@ -82,11 +82,6 @@ _FLAG_LIMITS = {
 # no decimal point or exponent: the length of the text bounds the size of the number
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _SIGN_WORDS = ("zero", "positive", "negative")  # by sign: 0, 1, -1
-# (array, separator, row) of sweep's margins as json.dumps writes them, by --pretty: keys
-# sorted, and the values, decimals and sign words, need no escaping
-_MARGIN_ROWS = (("[%s]", ",", '{"e_cleared":"%d","h":"%d","sign":"%s"}'),
-                ("[\n%s\n    ]", ",\n", '      {\n        "e_cleared": "%d",\n        "h": "%d",\n'
-                                         '        "sign": "%s"\n      }'))
 
 
 def _sign_word(value: object) -> str:
@@ -342,15 +337,25 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
 
 def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)  # h_max >= 1: the array is never empty
-    array, sep, row = _MARGIN_ROWS[args.pretty]
+    rows, words = enumerate(sweep.margins, 1), _SIGN_WORDS
+    # the margins array as json.dumps writes it, by --pretty: keys sorted, and the
+    # values, decimals and sign words, need no escaping
     try:
-        rows = sep.join([row % (m, h, _SIGN_WORDS[(m > 0) - (m < 0)])
-                         for h, m in enumerate(sweep.margins, 1)])
+        if args.pretty:
+            text = "[\n" + ",\n".join([
+                f'      {{\n        "e_cleared": "{m}",\n        "h": "{h}",\n'
+                f'        "sign": "{words[(m > 0) - (m < 0)]}"\n      }}' for h, m in rows
+            ]) + "\n    ]"
+        else:
+            text = "[" + ",".join([
+                f'{{"e_cleared":"{m}","h":"{h}","sign":"{words[(m > 0) - (m < 0)]}"}}'
+                for h, m in rows
+            ]) + "]"
     except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
         _num(max(map(abs, sweep.margins)))
         raise
     return {
-        "margins": _JsonText(array % rows),
+        "margins": _JsonText(text),
         "stable_poly_coeffs": _enc(sweep.stable_poly),
         "sign_stable_from": _num(sweep.sign_stable_from),
         "eventual_sign": _sign_word(sweep.eventual_sign),

@@ -16,7 +16,9 @@ Everything here is an exact integer or rational identity in the data
   alternating Koszul sum over index subsets (``pushforward``, memoised
   on the instance by twist; its global /r always cancels, asserted), or
   for a run h = 0..H of twists (``positivity_margins``) from running
-  sums of the subset tables, held to ``pushforward`` at its last twist;
+  sums of the subset tables up to dim X + 1 twists past k_sum - r and
+  of the margin's differences beyond, held to ``pushforward`` at its
+  last twist;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -45,8 +47,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
+from operator import mul
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
 from .errors import HypothesisError, InputError, InternalCheckError, shown
@@ -243,35 +246,105 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
     """Cleared margins of O_X(h) for h = 1..h_max, from one run of pushforwards.
 
     The rank at h is the t^h coefficient of cnt(t) / (1 - t)^r, so r
-    running sums of cnt give every rank up to h_max.  Since
+    running sums of cnt give the ranks of a band of twists.  Since
     (h - s) * C(h-s+r-1, r-1) = r * C(h-s+r-1, r), the degree is
     d * sum_{j < h} rank(j) plus the t^h coefficient of val(t) / (1 - t)^r.
-    Additions only, no object per twist, and the run is not kept.  It is
-    held to ``pushforward`` at its last twist (whose direct sum also
-    asserts degree integrality); a mismatch aborts hard, so each margin
-    is the one ``positivity_margin`` returns.
+    The band runs both sums at once (``_runs``) and ends n + 1 twists
+    past k_sum - r, n = dim X.  From there on rank and degree are
+    polynomials in h of degree below n and at most n (see
+    ``_stable_poly``), so E(h) = h * h_top * rank - n * fibre_deg * deg
+    is one of degree at most n, and the margin is h^(n-1) * E(h).  The
+    rest of the run continues E from the band's last n + 1 twists by n
+    running sums (``_continue``).  Nothing is kept.  Rank and degree at
+    h_max, by Newton's forward formula from those twists when the run
+    goes past them, are held to ``pushforward`` (whose direct sum also
+    asserts degree integrality), and the continued E to them at h_max; a
+    mismatch aborts hard, so each margin is the one ``positivity_margin``
+    returns.
     """
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {shown(h_max)}")
-    # t^0..t^h_max of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r
-    ranks, vals = ([*t[: h_max + 1], *[0] * (h_max + 1 - len(t))] for t in X.tables)
-    for _ in range(X.rank):
-        ranks, vals = list(accumulate(ranks)), list(accumulate(vals))
-    d = X.degree
+    r, d, n = X.rank, X.degree, X.dim
+    start = max(1, X.k_sum - r + 1)  # rank and degree are polynomials in h from here on
+    h_run = min(h_max, start + n)
+    ranks, vals = _runs(*X.tables, r, h_run + 1)
     degrees = [d * below + v for below, v in zip(accumulate(ranks, initial=0), vals)]
+    top, nfib = h_top(X), n * fibre_deg(X)  # positivity_margin's formula, over the run
+    e = [h * top * rank - nfib * degree
+         for h, rank, degree in zip(range(1, h_run + 1), ranks[1:], degrees[1:])]
+    if h_max > h_run:  # from the band's last n + 1 twists, start..h_run
+        rank, degree = (sum(comb(h_max - start, j) * row[0]  # Newton's forward formula
+                            for j, row in enumerate(_differences(t[start:])))
+                        for t in (ranks, degrees))
+        e += _continue(e[start - 1 :], h_max - h_run)
+    else:
+        rank, degree = ranks[h_max], degrees[h_max]
     pf = pushforward(X, h_max)
-    if (pf.rank, pf.degree) != (ranks[h_max], degrees[h_max]):
+    if (pf.rank, pf.degree) != (rank, degree):
         raise InternalCheckError(
             f"run of twists disagrees with the Koszul sum at h={shown(h_max)}: rank, "
-            f"degree {shown(ranks[h_max])}, {shown(degrees[h_max])} vs {shown(pf.rank)}, "
-            f"{shown(pf.degree)}"
+            f"degree {shown(rank)}, {shown(degree)} vs {shown(pf.rank)}, {shown(pf.degree)}"
         )
-    n = X.dim
-    top, nfib = h_top(X), n * fibre_deg(X)  # positivity_margin's formula, over the run
-    return tuple([
-        h ** (n - 1) * (h * top * rank - nfib * degree)
-        for h, rank, degree in zip(range(1, h_max + 1), ranks[1:], degrees[1:])
-    ])
+    last = h_max * top * rank - nfib * degree  # holds by construction inside the band
+    if e[-1] != last:
+        raise InternalCheckError(
+            f"run of twists continued past h={shown(h_run)} disagrees with its rank and "
+            f"degree at h={shown(h_max)}: E {shown(e[-1])} vs {shown(last)}"
+        )
+    return tuple(map(mul, e, map(pow, range(1, h_max + 1), repeat(n - 1))))
+
+
+def _runs(cnt: tuple[int, ...], val: tuple[int, ...], r: int,
+          length: int) -> tuple[list[int], list[int]]:
+    """t^0..t^(length-1) of cnt(t) / (1 - t)^r and of val(t) / (1 - t)^r.
+
+    r running sums of the packed coefficients (cnt[s] << shift) + val[s],
+    cut or zero-padded to ``length``, each then split into its balanced
+    halves.
+    """
+    cnt, val = cnt[:length], val[:length]
+    # The sums are linear, so the h-th packed sum is rank(h) * 2^shift + w_h
+    # with w_h = sum_{s <= h} val[s] * C(h - s + r - 1, r - 1).  For
+    # 0 <= s <= h <= h_end = length - 1, C(h - s + r - 1, r - 1) <= C(h_end + r - 1, r - 1),
+    # so |w_h| <= sum|val| * C(h_end + r - 1, r - 1) < 2^(shift-2) and w_h is
+    # the balanced remainder mod 2^shift.
+    shift = sum(map(abs, val)).bit_length() + comb(length + r - 2, r - 1).bit_length() + 2
+    run = [(x << shift) + y for x, y in zip(cnt, val)] + [0] * (length - len(cnt))
+    for _ in range(r):
+        run = list(accumulate(run))
+    return _split(run, shift)
+
+
+def _split(packed: list[int], shift: int) -> tuple[list[int], list[int]]:
+    """Each x = high * 2^shift + low with |low| < 2^(shift-1), as (highs, lows)."""
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    lows = [((x + half) & mask) - half for x in packed]
+    return [(x - low) >> shift for x, low in zip(packed, lows)], lows
+
+
+def _differences(values: list[int]) -> list[list[int]]:
+    """The rows of forward differences of ``values``, orders 0..len(values)-1."""
+    rows = [values]
+    while len(values) > 1:
+        values = [b - a for a, b in zip(values, values[1:])]
+        rows.append(values)
+    return rows
+
+
+def _continue(window: list[int], count: int) -> list[int]:
+    """The next ``count`` values of the polynomial of degree < len(window) through ``window``.
+
+    Its last difference is constant.  The differences of each lower order
+    past the window are their value at the window's end plus the running
+    sum of those one order higher, so len(window) - 1 running sums build
+    the values.
+    """
+    ends = [row[-1] for row in _differences(window)]
+    values = [ends.pop()] * count
+    for end in reversed(ends):
+        values[0] += end
+        values = list(accumulate(values))
+    return values
 
 
 def stable_margin_poly(X: RelativeCI) -> tuple[Fraction, ...]:
@@ -309,15 +382,11 @@ def _moments(cnt: tuple[int, ...], val: tuple[int, ...], count: int) -> tuple[li
     shift = (sum(map(abs, val)).bit_length()
              + comb(len(val) + count - 1, count - 1).bit_length() + 2)
     rest = [0] * (count - len(cnt)) + [(x << shift) + y for x, y in zip(reversed(cnt), reversed(val))]
-    half, mask = 1 << (shift - 1), (1 << shift) - 1
-    b, v = [], []
+    moments = []
     for i in range(count):
         rest = list(accumulate(rest))
-        moment = (-1) ** i * rest.pop()
-        low = ((moment + half) & mask) - half
-        b.append((moment - low) >> shift)
-        v.append(low)
-    return b, v
+        moments.append((-1) ** i * rest.pop())
+    return _split(moments, shift)
 
 
 def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:

@@ -292,7 +292,10 @@ class SweepResult(namedtuple("SweepResult", "margins stable_poly sign_stable_fro
 def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     """Cleared margins for h = 1..h_max and the exact eventual behaviour.
 
-    The margins come from one run of twists (``positivity_margins``).
+    The margins come from one run of twists (``positivity_margins``):
+    running sums of the subset tables up to dim X + 1 twists past
+    k_sum - r, then dim X running sums of the margin's differences, so
+    a long run past k_sum costs dim X passes, not r.
     The stable polynomial is the normalised margin for h > k_sum - r,
     built from the subset tables without evaluating any twist (see
     ``stable_margin_poly``).  Beyond ``sign_stable_from``, the larger of

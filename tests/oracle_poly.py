@@ -10,13 +10,15 @@ evaluates one exactly, which the library never needs.
 ``balanced_margin`` is a closed form of the margin for balanced data,
 which the tests hold to ``positivity_margin``.  ``two_pass_moments``
 takes the moments of each subset table on its own, from their
-definition, for the tests of the one packed pass that the library makes.
+definition, and ``two_list_runs`` the running sums of each table on its
+own, for the tests of the packed passes that the library makes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from relci import InputError, RelativeCI, alpha_invariant, binom_trunc, positivity_margin
@@ -127,3 +129,19 @@ def two_pass_moments(
         return [(-1) ** i * sum(a * comb(s, i) for s, a in enumerate(coeffs)) for i in range(count)]
 
     return moments(cnt), moments(val)
+
+
+def two_list_runs(
+    cnt: Sequence[int], val: Sequence[int], r: int, length: int
+) -> tuple[list[int], list[int]]:
+    """t^0..t^(length-1) of cnt(t) / (1 - t)^r and val(t) / (1 - t)^r, one table at a time.
+
+    Each table is cut or zero-padded to ``length`` and summed r times.
+    """
+    def runs(coeffs: Sequence[int]) -> list[int]:
+        out = [*coeffs[:length], *[0] * (length - len(coeffs))]
+        for _ in range(r):
+            out = list(accumulate(out))
+        return out
+
+    return runs(cnt), runs(val)

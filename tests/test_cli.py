@@ -286,6 +286,22 @@ class TestSweepCommand:
         assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
         assert calls["enc"] < 100
 
+    def test_run_past_the_window_takes_n_running_sums(self, capsys, monkeypatch):
+        # rung W: r = 4 running sums over the whole run would feed about 45,000
+        # elements; the band and the dim X = 2 sums of the continued run feed about 10,000
+        true_accumulate, fed = invariants.accumulate, []
+
+        def counted(iterable, *args, **kwargs):
+            items = list(iterable)
+            fed.append(len(items))
+            return true_accumulate(items, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "accumulate", counted)
+        worked = str(DEMOS / "instances" / "worked.json")
+        code, out, _ = run_main(capsys, "sweep", "-i", worked, "--h-max", "5000")
+        assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
+        assert 0 < sum(fed) < 4 * 5000
+
     @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
     def test_rows_are_the_text_json_dumps_writes(self, capsys, tmp_path, rng, pretty):
         # margins that are zero, negative and hundreds of digits long
@@ -538,6 +554,18 @@ class TestEachTwistOnce:
         assert (code, out) == (3, "")
         assert err.startswith("relci: internal check failed: run of twists disagrees "
                               "with the Koszul sum at h=40:")
+        assert json.dumps(WORKED["ci"]) in err
+        assert '"split": [1, 1, 1, 1]' in err
+
+    def test_sweep_exits_3_when_the_continued_run_disagrees(self, capsys, monkeypatch, worked_file):
+        # a tail one twist late: rank and degree at h_max still match the Koszul sum
+        true_continue = invariants._continue
+        monkeypatch.setattr(invariants, "_continue",
+                            lambda window, count: true_continue(window, count + 1)[1:])
+        code, out, err = run_main(capsys, "sweep", "-i", worked_file, "--h-max", "40")
+        assert (code, out) == (3, "")
+        assert err.startswith("relci: internal check failed: run of twists continued past h=5 "
+                              "disagrees with its rank and degree at h=40: E ")
         assert json.dumps(WORKED["ci"]) in err
         assert '"split": [1, 1, 1, 1]' in err
 

@@ -33,6 +33,7 @@ from relci import (
     positivity_margin,
     positivity_margins,
     pushforward,
+    signed_subset_tables,
     stable_margin_poly,
     surface_formula_check,
     sym_degree_bruteforce,
@@ -40,7 +41,7 @@ from relci import (
 from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
-from tests.oracle_poly import balanced_margin, sampled_stable_poly, two_pass_moments
+from tests.oracle_poly import balanced_margin, sampled_stable_poly, two_list_runs, two_pass_moments
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -164,11 +165,54 @@ class TestMarginRuns:
         for _ in range(300):
             X = make_ci(rng, balanced=rng.random() < 0.3)
             k_sum = X.k_sum
-            h_max = rng.choice([rng.randint(1, k_sum - 1), k_sum, k_sum + rng.randint(1, 10)])
+            # past the window, the n + 1 twists from max(1, k_sum - r + 1) on, E is continued
+            window_end = max(1, k_sum - X.rank + 1) + X.dim
+            h_max = rng.choice([rng.randint(1, k_sum - 1), k_sum, k_sum + rng.randint(1, 10),
+                                rng.randint(window_end + 1, window_end + 300)])
             kinds.update(hypersurface=X.codim == 1, balanced=X.balanced, short=k_sum < X.rank,
-                         below=h_max < k_sum, at=h_max == k_sum, above=h_max > k_sum)
+                         below=h_max < k_sum, at=h_max == k_sum, above=h_max > k_sum,
+                         tail=h_max > window_end)
             self.assert_run_matches_direct(X.rank, X.degree, X.k, X.y, h_max)
-        assert min(kinds[kind] for kind in ("hypersurface", "balanced", "short", "below", "at", "above")) >= 30
+        assert min(kinds[kind] for kind in
+                   ("hypersurface", "balanced", "short", "below", "at", "above", "tail")) >= 30
+
+    @pytest.mark.parametrize("r, d, k, y, h_max", [
+        (4, 4, (3, 3), (1, 2), 5000),
+        (200, 17, (2,), (3,), 10_000),
+    ], ids=["W", "r200_k2"])
+    def test_tail_at_sampled_twists(self, r, d, k, y, h_max):
+        run = positivity_margins(plain(r, d, k, y), h_max)
+        assert len(run) == h_max
+        twists = random.Random(h_max).sample(range(1, h_max + 1), 40) + [h_max - 1]
+        for h in twists:
+            assert run[h - 1] == positivity_margin(plain(r, d, k, y), h)
+
+    @given(st.integers(2, 200),
+           st.lists(st.tuples(st.integers(2, 30), st.integers(-10**40, 10**40)), min_size=1, max_size=6),
+           st.integers(-60, 60))
+    @example(200, [(2, 10**40)], 60)
+    @example(200, [(2, -(10**40)), (3, 10**40), (5, -(10**40))], -9)
+    @example(3, [(30, 10**40)] * 6, 0)
+    def test_packed_band_equals_two_lists(self, r, items, past):
+        # the band's packed running sums split back exactly at the packing width,
+        # for bands that end before, at and after k_sum
+        k, y = zip(*items)
+        cnt, val = signed_subset_tables(k, y)
+        length = max(1, sum(k) + past + 1)
+        assert invariants._runs(tuple(cnt), tuple(val), r, length) == two_list_runs(cnt, val, r, length)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-10**40, 10**40), min_size=n, max_size=n),
+        st.lists(st.integers(-10**40, 10**40), min_size=n, max_size=n),
+    )), st.integers(1, 200), st.integers(1, 60))
+    @example(([0], [3]), 2, 3)  # |w| = 3 * C(3, 1) = 9 >= 2^(bitlen(3) + bitlen(3) - 1)
+    @example(([0], [-3]), 2, 3)
+    @example(([10**40] * 30, [(-1) ** s * 10**40 for s in range(30)]), 200, 60)
+    def test_packed_band_at_its_width(self, tables, r, length):
+        # the width bounds sum|val| * C(length + r - 2, r - 1), which a table
+        # whose weight sits at t^0 reaches at the band's end
+        cnt, val = tables
+        assert invariants._runs(tuple(cnt), tuple(val), r, length) == two_list_runs(cnt, val, r, length)
 
     def test_keeps_memoised_twists(self):
         X = plain(5, 3, (2, 3), (1, -1))
