@@ -67,7 +67,9 @@ def signed_subset_tables(
     integers, so alternating sums over 2^c subsets cost a few big-integer
     operations per item, which keeps codimensions in the tens cheap.  For
     equal weights the tables are the classical binomial grouping.  The
-    tables do not depend on the order of the (weight, value) pairs.
+    tables do not depend on the order of the (weight, value) pairs, so
+    the items go in lightest first: each step costs the size of the
+    integer built so far, which grows with the running weight sum.
     Weights must be positive.
     """
     if len(weights) != len(values):
@@ -83,7 +85,7 @@ def signed_subset_tables(
     words = -(-(len(weights) + sum(map(abs, values)).bit_length() + 2) // 64)
     bits = 64 * words
     cnt, val = 1, 0
-    for w, v in zip(weights, values):
+    for w, v in sorted(zip(weights, values)):
         # val(t) -= t^w (val(t) + v cnt(t)), then cnt(t) -= t^w cnt(t)
         val -= (val + v * cnt) << (bits * w)
         cnt -= cnt << (bits * w)

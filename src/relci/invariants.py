@@ -14,11 +14,12 @@ Everything here is an exact integer or rational identity in the data
 * top self-intersection of the tautological class on X and on F;
 * rank and degree of the pushforward of O_X(h), together from one
   alternating Koszul sum over index subsets (``pushforward``, memoised
-  on the instance by twist; its global /r always cancels, asserted), or
-  for a run h = 0..H of twists (``positivity_margins``) from running
-  sums of the subset tables up to dim X + 1 twists past k_sum - r and
-  of the margin's differences beyond, held to ``pushforward`` at its
-  last twist;
+  on the instance by twist, one binomial per run of nonzero table
+  levels; its global /r always cancels, asserted), or for a run
+  h = 0..H of twists (``positivity_margins``) from running sums of the
+  subset tables up to dim X + 1 twists past k_sum - r and of the
+  margin's differences beyond, held to ``pushforward`` at its last
+  twist;
 * the positivity margin of O_X(h): the inequality
 
       h^(r-c) * H_X^(r-c) * rank - (r-c) * h^(r-c-1) * H_F^(r-c-1) * deg  >=  0
@@ -28,9 +29,9 @@ Everything here is an exact integer or rational identity in the data
   form; the command line derives the normalised value (divided by the
   rank), so sign questions never touch a division;
 * the stable margin polynomial, margin(h) / h^(dim X - 1) for large h,
-  in closed form from the moments of the subset tables at t = 1; the
-  moments below order c vanish and the degree-(dim X) coefficient
-  cancels (both asserted);
+  in closed form from the moments of the subset tables at t = 1, taken
+  to monomials by Horner's rule; the moments below order c vanish and
+  the degree-(dim X) coefficient cancels (both asserted);
 * the alpha invariant  c * prod(k) * d - r * sum_i (prod(k)/k_i) * y_i,
   a positive multiple of  c*mu(E) - sum_i y_i/k_i, whose sign settles
   the small-twist margins outright;
@@ -48,7 +49,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import mul
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
@@ -191,9 +192,15 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     kills the over-twisted terms s > h).  The rank (h^0 of O_F(h) on a
     fibre) weights each term by the signed count of subsets; the degree
     weights it by ((h - k_I) * d + y_I * r) / r.  One binomial per level
-    feeds both.  The global /r of the degree always cancels in the
-    total; a non-integral result would mean a transcribed-formula bug
-    and aborts hard.
+    feeds both.  The levels are walked from s = min(h, k_sum) down,
+    empty ones skipped: the first level of each run of nonzero levels
+    takes its binomial from ``binom_trunc``, and each next level steps
+    it exactly, C(m, r-1) = C(m-1, r-1) * m / (m-r+1) with
+    m = h - s + r - 1 and m - r + 1 = h - s >= 1.  So a sparse table
+    pays one ``comb`` per nonzero level and a dense one one per run.
+    The global /r of the degree always cancels in the total; a
+    non-integral result would mean a transcribed-formula bug and aborts
+    hard.
     """
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {shown(h)}")
@@ -207,12 +214,16 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
 def _koszul_sum(X: RelativeCI, h: int) -> PushforwardSummary:
     r, d = X.rank, X.degree
     cnt, val = X.tables
-    rank = num = 0
-    for s, (c, v) in enumerate(zip(cnt[: h + 1], val[: h + 1])):
+    rank = num = b = 0  # b = C(h - s + r - 1, r - 1) at the level above, 0 past an empty one
+    top = min(h, len(cnt) - 1)
+    for s, c, v in zip(range(top, -1, -1), cnt[top::-1], val[top::-1]):
         if c or v:
-            b = binom_trunc(h - s + r - 1, r - 1)
+            m = h - s + r - 1  # one more than at s + 1 inside a run
+            b = b * m // (m - r + 1) if b else binom_trunc(m, r - 1)
             rank += c * b
             num += b * (c * (h - s) * d + v * r)
+        else:
+            b = 0
     if num % r:
         raise InternalCheckError(f"pushforward degree not integral: {shown(num)}/{shown(r)} "
                                  f"at h={shown(h)}")
@@ -291,7 +302,8 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
             f"run of twists continued past h={shown(h_run)} disagrees with its rank and "
             f"degree at h={shown(h_max)}: E {shown(e[-1])} vs {shown(last)}"
         )
-    return tuple(map(mul, e, map(pow, range(1, h_max + 1), repeat(n - 1))))
+    twists = range(1, h_max + 1)  # h^(n-1) is h itself on a surface
+    return tuple(map(mul, e, twists if n == 2 else map(pow, twists, repeat(n - 1))))
 
 
 def _runs(cnt: tuple[int, ...], val: tuple[int, ...], r: int,
@@ -403,7 +415,10 @@ def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     cnt = prod (1 - t^k_i) vanishes to order c at t = 1 and val to order
     c - 1, so no C(h + m, m) with m > dim X occurs; this is asserted, and
     so is the cancellation of the degree-(dim X) coefficient.  The basis
-    goes to monomials in integers over the single denominator (dim X)!.
+    goes to monomials in integers over the single denominator (dim X)!
+    by Horner's rule in the basis: n! E(h) nests as multiply by (h + m),
+    then add the order-(m - 1) term, from m = n down, so each order costs
+    one pass of small multiples, not a product expanded and added.
     """
     r, c, n = X.rank, X.codim, X.dim
     b, v = _moments(*X.tables, r + 1)
@@ -417,24 +432,21 @@ def _stable_poly(X: RelativeCI) -> tuple[Fraction, ...]:
     # coefficients of C(h + m, m), m = 0..n, in the rank and the degree
     rank_c = b[c:r][::-1] + [0]
     deg_c = [X.degree * x + y for x, y in zip(tb[c:][::-1], v[c - 1 : r][::-1])]
-    h_t, fib = h_top(X), fibre_deg(X)
-    den = factorial(n)
-    out = [0] * (n + 2)
-    basis, weight = [1], den  # (h+1)...(h+m) by power of h, and n!/m!
-    for m, (rk, dg) in enumerate(zip(rank_c, deg_c)):
-        if m:
-            basis = [m * x + y for x, y in zip([*basis, 0], [0, *basis])]
-            weight //= m
-        rk, dg = h_t * rk * weight, n * fib * dg * weight
-        for j, x in enumerate(basis):
-            out[j + 1] += rk * x
-            out[j] -= dg * x
+    # n! E(h) = sum_m (h * h_top * rank_m - n * fibre_deg * deg_m) * (n!/m!) * (h+1)...(h+m),
+    # nested from m = n down: multiply by (h + m), then add order m - 1's term
+    h_t, nfib = h_top(X), n * fibre_deg(X)
+    out, weight = [-nfib * deg_c[n], h_t * rank_c[n]], 1  # by power of h; weight = n!/m!
+    for m in range(n, 0, -1):
+        out = [m * x + y for x, y in zip([*out, 0], [0, *out])]
+        weight *= m
+        out[0] -= nfib * deg_c[m - 1] * weight
+        out[1] += h_t * rank_c[m - 1] * weight
     while out and not out[-1]:
         out.pop()
     if len(out) > n:
         raise InternalCheckError(f"stable margin polynomial has degree {shown(len(out) - 1)} "
                                  f">= dim X = {shown(n)}")
-    return tuple(Fraction(x, den) for x in out)
+    return tuple(Fraction(x, weight) for x in out)  # weight = n!/0!
 
 
 class CanonicalClass(namedtuple("CanonicalClass", "h_coeff fibre_coeff")):

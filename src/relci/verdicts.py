@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import ceil
+from math import ceil, factorial
 
 from .bundles import BundleOverCurve, mn_divisor_test
 from .errors import InputError, InternalCheckError, shown
@@ -302,9 +302,30 @@ def h_sweep(X: RelativeCI, h_max: int) -> SweepResult:
     k_sum and the Cauchy root bound 1 + max_i |a_i / a_lead| rounded up
     (k_sum alone for a constant or zero polynomial), the sign of every
     margin equals ``eventual_sign``.
+
+    The two are held to each other in integers: n! * margin(h) against
+    h^(n-1) times the stable polynomial cleared by n!, n = dim X, at the
+    run's twists among the n + 1 from start = max(1, k_sum - r + 1) on.
+    Both sides are h^(n-1) times polynomials of degree at most n from
+    start on, and the run continues E past those twists as the one
+    polynomial through them, so agreement there is agreement at every
+    twist of the run from start on; a mismatch aborts hard.
     """
     margins = positivity_margins(X, h_max)
     poly = stable_margin_poly(X)
+    n, den = X.dim, factorial(X.dim)
+    cleared = [int(a * den) for a in reversed(poly)]  # the coefficients are over n!
+    start = max(1, X.k_sum - X.rank + 1)
+    for h in range(start, min(h_max, start + n) + 1):
+        value = 0
+        for a in cleared:
+            value = value * h + a
+        run, stable = den * margins[h - 1], h ** (n - 1) * value
+        if run != stable:
+            raise InternalCheckError(
+                f"stable margin polynomial disagrees with the run of twists at h={shown(h)}: "
+                f"{n}! margin {shown(run)} vs {shown(stable)}"
+            )
     lead = poly[-1] if poly else 0
     bound = 1 + ceil(max(map(abs, poly[:-1])) / abs(lead)) if len(poly) > 1 else 0
     return SweepResult(

@@ -12,6 +12,8 @@ which the tests hold to ``positivity_margin``.  ``two_pass_moments``
 takes the moments of each subset table on its own, from their
 definition, and ``two_list_runs`` the running sums of each table on its
 own, for the tests of the packed passes that the library makes.
+``per_level_koszul`` is the Koszul sum of a lone twist with one binomial
+per nonzero table level, for the tests of the library's stepped sum.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from relci import InputError, RelativeCI, alpha_invariant, binom_trunc, positivity_margin
+from relci import (
+    InputError,
+    PushforwardSummary,
+    RelativeCI,
+    alpha_invariant,
+    binom_trunc,
+    positivity_margin,
+)
 
 
 def horner(poly: tuple[Fraction, ...], x: Fraction | int) -> Fraction:
@@ -145,3 +154,22 @@ def two_list_runs(
         return out
 
     return runs(cnt), runs(val)
+
+
+def per_level_koszul(X: RelativeCI, h: int) -> PushforwardSummary:
+    """Rank and degree of the pushforward of O_X(h), one ``binom_trunc`` per nonzero level.
+
+    The alternating sum over the subset tables' levels s = 0..h, with
+    C(h - s + r - 1, r - 1) taken afresh at every level that has a
+    nonzero entry.  The degree stays a Fraction, so a non-integral one
+    shows as a mismatch.
+    """
+    r, d = X.rank, X.degree
+    cnt, val = X.tables
+    rank = num = 0
+    for s, (c, v) in enumerate(zip(cnt[: h + 1], val[: h + 1])):
+        if c or v:
+            b = binom_trunc(h - s + r - 1, r - 1)
+            rank += c * b
+            num += b * (c * (h - s) * d + v * r)
+    return PushforwardSummary(h, rank, Fraction(num, r))

@@ -645,6 +645,15 @@ class TestExit3NamesTheInstance:
         self.assert_exit_3(capsys, "no_hn.json", ["invariants", "-h", "1"],
                            "pushforward degree not integral: 42/5 at h=1")
 
+    def test_stable_poly_against_the_run(self, capsys, monkeypatch):
+        # worked.json: -540 + 324 h, dim X = 2, window h = 3..5; a constant term one off
+        # keeps the moment and degree checks inside _stable_poly green
+        true_poly = invariants._stable_poly
+        monkeypatch.setattr(invariants, "_stable_poly", lambda X: (true_poly(X)[0] + 1, *true_poly(X)[1:]))
+        self.assert_exit_3(capsys, "worked.json", ["sweep", "--h-max", "10"],
+                           "stable margin polynomial disagrees with the run of twists at h=3: "
+                           "2! margin 2592 vs 2598 for instance ")
+
     def test_canonical_margin_two_ways(self, capsys, monkeypatch):
         # only the direct route reads the top power through invariants
         true_top = invariants.canonical_top_power

@@ -41,7 +41,13 @@ from relci import (
 from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
-from tests.oracle_poly import balanced_margin, sampled_stable_poly, two_list_runs, two_pass_moments
+from tests.oracle_poly import (
+    balanced_margin,
+    per_level_koszul,
+    sampled_stable_poly,
+    two_list_runs,
+    two_pass_moments,
+)
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -137,6 +143,55 @@ class TestMargin:
             for h in range(1, min(X.k)):
                 want = h ** (n - 1) * Fraction(h, r) * binom_trunc(h + r - 1, r - 1) * a
                 assert positivity_margin(X, h) == want
+
+
+@st.composite
+def gapped_instances(draw):
+    """Hypersurfaces, repeated degrees and mixed degrees, whose tables have empty levels."""
+    r = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["hypersurface", "repeated", "mixed"]))
+    if kind == "hypersurface":
+        k = (draw(st.integers(2, 40)),)
+    elif kind == "repeated":
+        k = (draw(st.integers(2, 9)),) * draw(st.integers(1, r - 2))
+    else:
+        k = tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=r - 2)))
+    y = tuple(draw(st.lists(st.integers(-10, 10), min_size=len(k), max_size=len(k))))
+    return plain(r, draw(st.integers(-10, 10)), k, y)
+
+
+class TestLoneSum:
+    """A lone twist's Koszul sum steps its binomial through each run of nonzero levels."""
+
+    @given(gapped_instances())
+    @example(plain(5, 7, (30,), (4,)))  # levels 1..29 empty
+    @example(plain(8, -3, (4, 4, 4), (1, -2, 5)))  # three levels in four empty
+    @example(plain(12, 5, (2, 7, 7, 11), (3, 0, -1, 9)))  # runs of mixed lengths
+    def test_equals_one_binomial_per_level(self, X):
+        # every twist up to past the top level, those inside a run of empty levels too
+        for h in range(X.k_sum + 4):
+            assert pushforward(X, h) == per_level_koszul(X, h)
+
+    # one binomial per run of nonzero levels, not per level: rungs L and M at their
+    # h_max, and the rank-200 corners at twists near 10,000 (ROADMAP item 19)
+    @pytest.mark.parametrize("r, k, y, h, runs", [
+        (80, tuple(range(2, 42)), tuple(range(-20, 20)), 100, 2),
+        (30, tuple(range(2, 22)), tuple(range(-10, 10)), 400, 3),
+        (200, (10000,), (1,), 10000, 2),
+        (200, (100,) * 100, tuple(range(100)), 10000, 101),
+        (200, (50,) * 198, (1,) * 198, 9999, 199),
+        (200, tuple(2 + i * 37 % 97 for i in range(198)), tuple(range(-99, 99)), 9999, 3),
+    ], ids=["L", "M", "k10000", "k100x100", "k50x198", "mixed198"])
+    def test_binomials_per_run_of_levels(self, monkeypatch, r, k, y, h, runs):
+        X = plain(r, 17, k, y)
+        assert X.k_sum <= 10000
+        cnt, val = X.tables
+        nonzero = [bool(c or v) for c, v in zip(cnt[: h + 1], val[: h + 1])]
+        assert sum(a and not b for a, b in zip(nonzero, [False, *nonzero])) == runs
+        calls = []
+        monkeypatch.setattr(invariants, "binom_trunc", lambda n, m: calls.append(n) or binom_trunc(n, m))
+        assert invariants._koszul_sum(X, h) == per_level_koszul(X, h)  # the oracle's calls go uncounted
+        assert len(calls) == runs
 
 
 class TestMarginRuns:

@@ -278,7 +278,9 @@ class TestSweep:
                 m = positivity_margin(X, h)
                 assert (m > 0) - (m < 0) == sweep.eventual_sign
 
-    # the polynomial stands in for the stable one of an instance with k_sum = 2
+    # the polynomial stands in for the stable one of an instance with k_sum = 2, and
+    # its value at h = 1 for the run's one margin there (dim X = 2), which h_sweep
+    # holds to the polynomial
     @pytest.mark.parametrize("coeffs, bound", [
         ((-540, 324), 3),  # Cauchy bound 1 + 540/324, rounded up
         ((0, -10, 1), 11),  # roots 0 and 10, bound 1 + 10
@@ -288,6 +290,7 @@ class TestSweep:
     def test_sign_stable_bound(self, monkeypatch, coeffs, bound):
         poly = tuple(map(Fraction, coeffs))
         monkeypatch.setattr(verdicts, "stable_margin_poly", lambda X: poly)
+        monkeypatch.setattr(verdicts, "positivity_margins", lambda X, h_max: (int(horner(poly, 1)),))
         sweep = h_sweep(plain(3, 0, (2,), (0,)), 1)
         assert (sweep.stable_poly, sweep.sign_stable_from) == (poly, bound)
         for x in range(bound + 1, bound + 50):
