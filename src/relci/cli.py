@@ -48,7 +48,6 @@ from functools import cache
 
 from . import __version__
 from .bundles import BundleOverCurve, ConeLabel, classify, cone
-from .contact import ContactInstance, WeightFiltration, hm_test, contact_of_intersection
 from .errors import InputError, InternalCheckError, shown
 from .exact import binom_trunc
 from .invariants import (
@@ -66,7 +65,6 @@ from .invariants import (
 from .oracles import cross_check
 from .verdicts import Orientation, build_example, h_sweep
 from .verdicts import asymptotic_verdict, instability_verdict, slope_verdict, small_h_verdict
-from .svg import cone_diagram
 
 MAX_K_SUM = 10_000
 MAX_RANK = 200
@@ -79,8 +77,9 @@ _FLAG_LIMITS = {
     "sweep": (("--h-max", "h_max", MAX_TWIST),),
     "example": (("--r", "r", MAX_RANK), ("--a", "a", MAX_K_SUM), ("--m", "m", MAX_K_SUM)),
 }
-# no decimal point or exponent: the length of the text bounds the size of the number
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# no decimal point or exponent: the length of the text bounds the size of the number;
+# compiled on first use by ``re``, since only ``contact`` reads rationals
+_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
 _SIGN_WORDS = ("zero", "positive", "negative")  # by sign: 0, 1, -1
 
 
@@ -128,7 +127,7 @@ def _enc(value: object) -> object:
 
 
 def _rat(value: object, field: str) -> Fraction:
-    if type(value) is not int and not (type(value) is str and _RATIONAL.fullmatch(value)):
+    if type(value) is not int and not (type(value) is str and re.fullmatch(_RATIONAL, value)):
         raise InputError(f"{field}: rationals must be integers or 'p/q' strings")
     try:
         return Fraction(value)
@@ -321,6 +320,7 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
         for label, t in thresholds.items()
     ])
     if args.svg:
+        from .svg import cone_diagram
         drawing = cone_diagram(c, thresholds, bundle.is_semistable)  # before the file opens
         try:
             with open(args.svg, "w", encoding="utf-8") as file:
@@ -383,6 +383,7 @@ def _cmd_oracle(X: RelativeCI, args: argparse.Namespace) -> dict:
 
 
 def _cmd_contact(args: argparse.Namespace) -> tuple[object, dict]:
+    from .contact import ContactInstance, WeightFiltration, contact_of_intersection, hm_test
     data = _shaped(_read_json(args.instance), dict, "contact input")
     try:
         weights = WeightFiltration(

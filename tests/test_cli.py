@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -47,6 +48,13 @@ def run_main(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cold(child_env, *args):
+    """``main`` in a fresh interpreter without site, where no module of the tests is loaded."""
+    proc = subprocess.run([sys.executable, "-S", "-m", "relci.cli", *args], env=child_env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def margin_draws(rng, tmp_path, count):
@@ -238,6 +246,19 @@ class TestConesCommand:
         # the Pseff ray, of slope 10^400, draws as vertical; its exact slope is kept
         text = svg.read_text(encoding="utf-8")
         assert f'L 90.00 410.00 Z" fill="#d95f02"' in text and f'data-slope="{10**400}"' in text
+
+    def test_svg_runs_cold(self, capsys, child_env, tmp_path):
+        # the front end imports the drawing module only here: run it where nothing has
+        svg = tmp_path / "cones.svg"
+        argv = ["cones", "-i", str(DEMOS / "instances" / "split210.json"), "-c", "1", "--svg", str(svg)]
+        code, out, err = run_cold(child_env, *argv)
+        assert (code, err) == (0, "")
+        drawing = svg.read_bytes()
+        golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text(encoding="utf-8"))
+        expected = golden["split210.json cones -c 1 --svg"]
+        assert len(drawing) == expected["svg_bytes"]
+        assert hashlib.sha256(drawing).hexdigest() == expected["svg_sha256"]
+        assert out == run_main(capsys, *argv)[1]
 
 
 class TestSweepCommand:
@@ -444,6 +465,19 @@ class TestContactCommand:
         code, out, _ = run_main(capsys, "contact", "-i", "-")
         assert code == 0
         assert json.loads(out)["input"]["weights"] == ["1", "1", "1", "1"]
+
+    def test_runs_cold(self, capsys, child_env, tmp_path):
+        # the front end imports the contact module only here: run it where nothing has
+        payload = {
+            "weights": ["3", "2", "2/3", "1"],
+            "y": {"dim": 1, "deg": 2, "e_f": "4"},
+            "z": {"dim": 2, "deg": 3, "e_f": "9/2"},
+        }
+        path = tmp_path / "contact.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cold(child_env, "contact", "-i", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_main(capsys, "contact", "-i", str(path))[1]
 
 
 class TestExampleCommand:

@@ -2,9 +2,10 @@
 
 An imported name counts as used when the module reads it or re-exports
 it through ``__all__``; every ``__all__`` entry must resolve on the
-imported module, once.  Star imports appear only in ``__init__.py``,
-which re-exports each module's ``__all__``, and only from modules that
-define one.  No module imports another module's private
+imported module, once.  No module star-imports: the package ``relci``
+re-exports each library module's ``__all__``, in a fixed order, by
+binding the names on first access, and no thread that reads one first
+sees it missing.  No module imports another module's private
 (underscore-prefixed) names or reads a private attribute it does not
 define itself; a named tuple's ``_asdict``, ``_replace`` and the like
 are public API, underscored only to keep clear of field names.  Only
@@ -21,6 +22,8 @@ but its integer functions.
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import namedtuple
 from itertools import takewhile
 from pathlib import Path
@@ -93,11 +96,59 @@ def test_star_imports_only_reexport_declared_names(path):
         node for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
     ]
-    if path.name != "__init__.py":
-        assert [node.lineno for node in stars] == [], f"{path.name} star-imports"
-    for node in stars:
-        source = importlib.import_module("." * node.level + (node.module or ""), "relci")
-        assert hasattr(source, "__all__"), f"{path.name}: star import from {source.__name__} without __all__"
+    assert [node.lineno for node in stars] == [], f"{path.name} star-imports"
+
+
+def test_package_reexports_every_library_name():
+    import relci
+    from relci import bundles, contact, errors, exact, invariants, oracles, verdicts
+
+    modules = (bundles, contact, errors, exact, invariants, oracles, verdicts)
+    assert relci.__all__ == [
+        "__version__", *bundles.__all__, *contact.__all__, *errors.__all__, *exact.__all__,
+        *invariants.__all__, *oracles.__all__, *verdicts.__all__,
+    ]
+    mismatched = [(m.__name__, n) for m in modules for n in m.__all__
+                  if getattr(relci, n) is not getattr(m, n)]
+    assert mismatched == []
+    assert sorted(set(relci.__all__) - set(dir(relci))) == []
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        relci.no_such_name
+
+
+FIRST_USE = """
+import sys, threading
+import relci
+
+names = {names!r}
+barrier, got = threading.Barrier(len(names)), {{}}
+
+def read(name):
+    barrier.wait()
+    try:
+        got[name] = getattr(relci, name)
+    except BaseException as exc:
+        got[name] = exc
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=read, args=(name,)) for name in names]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print([f"{{name}}: {{got[name]!r}}" for name in names if got[name] is not vars(relci).get(name)])
+"""
+
+
+def test_first_use_is_safe_under_threads(child_env):
+    # eight threads read eight different names from a package that has bound none
+    names = ["BundleOverCurve", "ContactInstance", "InputError", "binom_trunc", "pushforward",
+             "cross_check", "h_sweep", "__all__"]
+    code = FIRST_USE.format(names=names)
+    for _ in range(4):
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

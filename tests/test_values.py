@@ -7,7 +7,9 @@ memo of a ``RelativeCI`` lives outside its fields, so it takes no part
 in ``==`` or ``hash``.  Importing the front end loads neither
 ``dataclasses`` nor ``inspect`` (nor ``pathlib`` or ``typing``, on an
 interpreter without site hooks), which a cold ``relci`` process would
-otherwise pay for.
+otherwise pay for.  Of the package, ``import relci`` loads no module,
+and ``import relci.cli`` loads every module but ``contact`` and ``svg``,
+which only their own commands import.
 """
 
 import json
@@ -34,6 +36,10 @@ from relci import (
     pushforward,
     surface_formula_check,
 )
+
+# what ``import relci.cli`` loads of the package, sorted
+FRONT_END_MODULES = ["relci", "relci.bundles", "relci.cli", "relci.errors", "relci.exact",
+                     "relci.invariants", "relci.oracles", "relci.verdicts"]
 
 
 def worked() -> RelativeCI:
@@ -109,9 +115,20 @@ def test_front_end_import_loads_neither_dataclasses_nor_inspect(child_env):
     loaded = set(json.loads(proc.stdout))
     assert "relci.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
-    # without site, whose hooks may load pathlib and typing, nothing in the process loads any
-    code = ("import sys, relci.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))")
+    # without site, whose hooks may load pathlib and typing, nothing in the process loads any;
+    # the package loads no module of its own, and the front end only those its commands share
+    code = ("import json, sys; "
+            "mine = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'relci'); "
+            "import relci; package = mine(); import relci.cli; front = mine(); "
+            "heavy = sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)); "
+            "print(json.dumps([package, front, heavy]))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env, capture_output=True,
                           text=True)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    package, front, heavy = json.loads(proc.stdout)
+    assert package == ["relci"]
+    assert front == FRONT_END_MODULES, (
+        "import relci.cli must load exactly these: perfbench/tracer.py reads sys.modules for "
+        "every layer it traces (exact, invariants, verdicts, bundles, oracles) right after "
+        "import relci.cli, and contact and svg load only in the commands that run them")
+    assert heavy == []
