@@ -58,13 +58,13 @@ for h in range(0, 5):
     print(f"f_* O_X({h}):", pushforward(X, h))
 
 # %%
-# Positivity margins.  Cleared form = rank * normalised form; for the
+# Positivity margins.  Cleared form = rank * rational margin; for the
 # genus-10 fibre the margin at h = 2 is the slope-inequality margin.
 
 for h in range(1, 5):
     margin = positivity_margin(X, h)
-    normalised = Fraction(margin, pushforward(X, h).rank)
-    print(f"h = {h}: cleared = {margin}, normalised = {normalised}")
+    rational = Fraction(margin, pushforward(X, h).rank)
+    print(f"h = {h}: cleared = {margin}, rational = {rational}")
 
 # %%
 # The relative canonical class is 2 H_X + F here, ample on the fibres,

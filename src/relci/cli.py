@@ -30,7 +30,9 @@ Work is bounded before any table is built: ``ci.k`` sums to at most
 and ``sweep --h-max`` are at most ``MAX_TWIST``, and ``oracle`` needs
 2^c * C(h_max + r, r) <= ``MAX_ORACLE_WORK`` (its brute force visits all
 2^c subsets at every twist).  ``example`` takes ``--r`` up to ``MAX_RANK``
-and ``--a`` and ``--m`` up to ``MAX_K_SUM``.  The rationals of a ``contact``
+and ``--a`` and ``--m`` up to ``MAX_K_SUM``.  ``verdict`` lists every
+small-twist margin, so at rank 200 ``k = [10000]`` prints 10.6 MB, and
+``sweep --h-max 10000`` up to 11.1 MB.  The rationals of a ``contact``
 input are JSON integers or "p" / "p/q" strings of decimal digits.
 
 Exit codes: 0 success, 2 invalid input, 3 internal exact-identity
@@ -224,6 +226,10 @@ def instance_to_json(X: RelativeCI) -> dict:
     }
 
 
+def _contact_json(T) -> dict:  # a subvariety of ``contact``: an echoed input or the intersection
+    return {"dim": T.dim, "deg": T.deg, "e_f": T.e_f}
+
+
 def _warnings(X: RelativeCI) -> list[str]:
     return [
         f"hypersurface {i}: y/k = {Fraction(X.y[i - 1], X.k[i - 1])} exceeds the "
@@ -271,11 +277,7 @@ def _cmd_invariants(X: RelativeCI, args: argparse.Namespace) -> dict:
         "rank": pf.rank,
         "deg": pf.degree,
         "alpha": alpha_invariant(X),
-        "canonical": {
-            "h_coeff": canon.h_coeff,
-            "fibre_coeff": canon.fibre_coeff,
-            "general_type_fibres": canon.general_type_fibres,
-        },
+        "canonical": {**canon._asdict(), "general_type_fibres": canon.general_type_fibres},
         "kf_top": canonical_top_power(X),
     }
     if h >= 1:
@@ -401,32 +403,20 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[object, dict]:
     except KeyError as exc:
         raise InputError(f"contact input missing field {exc.args[0]!r}") from exc
     cut = contact_of_intersection(insts["y"], insts["z"], weights)
-    result = {
+    echo = {name: _contact_json(T) for name, T in insts.items()}
+    echo["weights"] = list(weights.weights)
+    return echo, _enc({
         "y_status": hm_test(insts["y"], weights).value,
         "z_status": hm_test(insts["z"], weights).value,
-        "intersection": {
-            "dim": cut.dim,
-            "deg": cut.deg,
-            "e_f": cut.e_f,
-            "status": hm_test(cut, weights).value,
-        },
-    }
-    echo = {name: {"dim": T.dim, "deg": T.deg, "e_f": T.e_f} for name, T in insts.items()}
-    echo["weights"] = list(weights.weights)
-    return echo, _enc(result)
+        "intersection": {**_contact_json(cut), "status": hm_test(cut, weights).value},
+    })
 
 
 def _cmd_example(args: argparse.Namespace) -> dict:
-    bundle, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
-    return _enc({
-        "bundle": {
-            "rank": bundle.rank,
-            "degree": bundle.degree,
-            "hn": [{"rank": r, "degree": d} for r, d in bundle.hn],
-        },
-        "ci": {"k": list(X.k), "y": list(X.y)},
-        "verdict": report._asdict(),
-    })
+    _, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
+    result = instance_to_json(X)
+    del result["bundle"]["base_genus"], result["bundle"]["split"]  # the family's: always 0 and null
+    return _enc({**result, "verdict": report._asdict()})
 
 
 # ------------------------------------------------------------------ parser

@@ -26,7 +26,7 @@ Everything here is an exact integer or rational identity in the data
 
   expresses that O_X(h) spreads at least as positively as its fibre
   restriction demands.  Margins are plain integers in this cleared
-  form; the command line derives the normalised value (divided by the
+  form; the command line derives the rational margin (divided by the
   rank), so sign questions never touch a division;
 * the stable margin polynomial, margin(h) / h^(dim X - 1) for large h,
   in closed form from the moments of the subset tables at t = 1, taken
@@ -244,7 +244,7 @@ def positivity_margin(X: RelativeCI, h: int) -> int:
     """Cleared margin of the positivity inequality for O_X(h), h >= 1.
 
     h^n * h_top * rank - n * h^(n-1) * fibre_deg * deg with n = dim X;
-    the normalised value divides it by the rank, at least r for h >= 1.
+    the rational margin divides it by the rank, at least r for h >= 1.
     """
     if h < 1:
         raise InputError(f"positivity margin needs h >= 1, got {shown(h)}")
@@ -310,21 +310,27 @@ def _runs(cnt: tuple[int, ...], val: tuple[int, ...], r: int,
           length: int) -> tuple[list[int], list[int]]:
     """t^0..t^(length-1) of cnt(t) / (1 - t)^r and of val(t) / (1 - t)^r.
 
-    r running sums of the packed coefficients (cnt[s] << shift) + val[s],
-    cut or zero-padded to ``length``, each then split into its balanced
-    halves.
+    r running sums of the packed coefficients (``_pack``), cut or
+    zero-padded to ``length``, each then split into its balanced halves.
     """
-    cnt, val = cnt[:length], val[:length]
-    # The sums are linear, so the h-th packed sum is rank(h) * 2^shift + w_h
-    # with w_h = sum_{s <= h} val[s] * C(h - s + r - 1, r - 1).  For
-    # 0 <= s <= h <= h_end = length - 1, C(h - s + r - 1, r - 1) <= C(h_end + r - 1, r - 1),
-    # so |w_h| <= sum|val| * C(h_end + r - 1, r - 1) < 2^(shift-2) and w_h is
-    # the balanced remainder mod 2^shift.
-    shift = sum(map(abs, val)).bit_length() + comb(length + r - 2, r - 1).bit_length() + 2
-    run = [(x << shift) + y for x, y in zip(cnt, val)] + [0] * (length - len(cnt))
+    # the h-th sum weights val[s], s <= h < length, by C(h - s + r - 1, r - 1) <= this bound
+    run, shift = _pack(cnt[:length], val[:length], comb(length + r - 2, r - 1))
+    run += [0] * (length - len(run))
     for _ in range(r):
         run = list(accumulate(run))
     return _split(run, shift)
+
+
+def _pack(cnt: tuple[int, ...], val: tuple[int, ...], bound: int) -> tuple[list[int], int]:
+    """The packed coefficients (cnt[s] << shift) + val[s] of a linear pass, and the shift.
+
+    No carry: if the pass weights each val[s] by at most ``bound`` in absolute
+    value, it gives the pass over cnt times 2^shift plus w, the pass over val,
+    with |w| <= sum|val| * bound < 2^(shift-2), which ``_split`` reads back as
+    the balanced remainder mod 2^shift.
+    """
+    shift = sum(map(abs, val)).bit_length() + bound.bit_length() + 2
+    return [(x << shift) + y for x, y in zip(cnt, val)], shift
 
 
 def _split(packed: list[int], shift: int) -> tuple[list[int], list[int]]:
@@ -378,22 +384,16 @@ def stable_margin_poly(X: RelativeCI) -> tuple[Fraction, ...]:
 def _moments(cnt: tuple[int, ...], val: tuple[int, ...], count: int) -> tuple[list[int], list[int]]:
     """Coefficients of cnt(t) and val(t) in powers of (1 - t), orders 0..count-1.
 
-    One pass for both tables, over the packed coefficients
-    (cnt[s] << shift) + val[s]: repeated synthetic division by (t - 1), whose
-    running sums of the coefficients, highest power first, end in the
-    remainder (the next Taylor coefficient at t = 1) and leave the
-    quotient before it.  Zero-padded at the top, so orders past the
-    degree come out 0.  Each packed moment then splits into its
-    balanced halves.
+    One pass for both tables, over the packed coefficients (``_pack``):
+    repeated synthetic division by (t - 1), whose running sums of the
+    coefficients, highest power first, end in the remainder (the next
+    Taylor coefficient at t = 1) and leave the quotient before it.
+    Zero-padded at the top, so orders past the degree come out 0.  Each
+    packed moment then splits into its balanced halves.
     """
-    # The pass is linear, so the i-th packed moment is b_i * 2^shift + v_i
-    # with v_i = (-1)^i * sum_s val[s] * C(s, i).  For i < count and
-    # s < len(val), C(s, i) <= C(s + count - 1, count - 1) <= C(len(val) +
-    # count - 1, count - 1) by Vandermonde, so |v_i| < 2^(shift-2) and v_i
-    # is the balanced remainder mod 2^shift.
-    shift = (sum(map(abs, val)).bit_length()
-             + comb(len(val) + count - 1, count - 1).bit_length() + 2)
-    rest = [0] * (count - len(cnt)) + [(x << shift) + y for x, y in zip(reversed(cnt), reversed(val))]
+    # moment i < count weights val[s], s < len(val), by (-1)^i C(s, i), at most this (Vandermonde)
+    packed, shift = _pack(cnt[::-1], val[::-1], comb(len(val) + count - 1, count - 1))
+    rest = [0] * (count - len(cnt)) + packed
     moments = []
     for i in range(count):
         rest = list(accumulate(rest))

@@ -68,8 +68,7 @@ class VerdictReport(namedtuple("VerdictReport", "theorem hypotheses conclusion w
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __new__(cls, theorem: str, hypotheses: dict[str, bool], conclusion: str,
-                witnesses: dict[str, object] | None = None) -> "VerdictReport":
-        witnesses = {} if witnesses is None else witnesses
+                witnesses: dict[str, object]) -> "VerdictReport":
         self = super().__new__(cls, theorem, hypotheses, conclusion, witnesses)
         if not self.hypotheses_ok and conclusion not in _NO_CONCLUSION:
             raise InternalCheckError(

@@ -4,7 +4,8 @@ Instances are drawn with plain seeded ``random.Random`` so every run
 checks the same cases; ranges follow the acceptance suite conventions
 (rank 3..8, degrees 2..6, twists and bundle degrees in -10..10).
 ``child_env`` is the environment for a child ``python`` that must import
-relci from this checkout.
+relci from this checkout.  ``CORNERS`` are the rank-200 instances at the
+documented limits (k_sum up to 10000), as (k, y) at bundle degree 17.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ from pathlib import Path
 import pytest
 
 from relci import BundleOverCurve, RelativeCI
+
+
+CORNERS = {
+    "k10000": ((10000,), (1,)),
+    "k100x100": ((100,) * 100, tuple(range(100))),
+    "k50x198": ((50,) * 198, (1,) * 198),
+    "mixed198": (tuple(2 + i * 37 % 97 for i in range(198)), tuple(range(-99, 99))),  # k_sum 9833
+}
 
 
 def make_ci(

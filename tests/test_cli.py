@@ -26,7 +26,7 @@ from relci.cli import (
     instance_to_json,
     main,
 )
-from tests.conftest import make_ci
+from tests.conftest import CORNERS, make_ci
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SIGN_WORDS = {1: "positive", 0: "zero", -1: "negative"}
@@ -103,7 +103,7 @@ class TestInvariantsCommand:
         walk(json.loads(out))
 
     def test_derived_margin_forms(self, capsys, tmp_path, rng):
-        # the normalised value and the sign word are derived from the cleared margin
+        # the rational margin and the sign word are derived from the cleared margin
         words = set()
         for X, path in margin_draws(rng, tmp_path, 60):
             h = rng.randint(1, X.k_sum + 2)
@@ -307,7 +307,7 @@ class TestSweepCommand:
         assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
         assert calls["enc"] < 100
 
-    def test_run_past_the_window_takes_n_running_sums(self, capsys, monkeypatch):
+    def test_run_past_the_window_takes_n_running_sums(self, capsys, monkeypatch, tmp_path):
         # rung W: r = 4 running sums over the whole run would feed about 45,000
         # elements; the band and the dim X = 2 sums of the continued run feed about 10,000
         true_accumulate, fed = invariants.accumulate, []
@@ -322,6 +322,17 @@ class TestSweepCommand:
         code, out, _ = run_main(capsys, "sweep", "-i", worked, "--h-max", "5000")
         assert code == 0 and len(json.loads(out)["result"]["margins"]) == 5000
         assert 0 < sum(fed) < 4 * 5000
+        # the rank-200 corners: the band's r passes over its h_run + 1 entries, the running
+        # sum of its ranks and the dim X < r passes of the continued run over the h_max - h_run
+        # twists past it feed at most (r + 1) * (h_max + 1); the moments' r + 1 passes over
+        # at most k_sum + 1 entries (k_sum >= r here) feed at most (r + 1) * (k_sum + 1)
+        for k, y in CORNERS.values():
+            X = RelativeCI(BundleOverCurve(200, 17), k, y)
+            path = tmp_path / "corner.json"
+            path.write_text(json.dumps(instance_to_json(X)), encoding="utf-8")
+            fed.clear()
+            assert run_main(capsys, "sweep", "-i", str(path), "--h-max", "10000")[0] == 0
+            assert 0 < sum(fed) <= 2 * (X.rank + 1) * (max(10000, X.k_sum) + 2) == 4_020_804
 
     @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
     def test_rows_are_the_text_json_dumps_writes(self, capsys, tmp_path, rng, pretty):

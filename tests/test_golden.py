@@ -8,9 +8,12 @@ signs that disagree with alpha), the ``example`` family in both
 orientations, and split lists that do not fit the rest of the bundle
 (exit 2, each message naming the first inconsistency in file order),
 ``sweep`` on the three benchmark ladder rungs (and in the indented
-layout on ``worked.json`` and rung W), and ``cones --svg`` on some demo
-instances.  A ladder report is pinned by the byte length and
-sha256 of its stdout, since rung W's runs to 276 KB; a ``--svg`` case by
+layout on ``worked.json`` and rung W), ``verdict``, ``sweep --h-max 10000``
+and ``invariants -h 10000`` on the four rank-200 corners at the documented
+limits, ``oracle`` on ``worked.json`` at the largest ``--h-max`` within its
+work bound, and ``cones --svg`` on some demo instances.  A ladder or corner
+report is pinned by the byte length and sha256 of its stdout, since rung W's
+runs to 276 KB and the corners' to 11.1 MB; a ``--svg`` case by
 the byte length and sha256 of the drawing it writes, in place of its
 stdout, which names the drawing's path.  ``--help`` is left out:
 argparse wraps it to the terminal.
@@ -34,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CORNERS  # as a plain module, so that the file also runs as a script
 from relci.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,6 +95,9 @@ LADDER = {
     "L": (_instance(80, 17, range(2, 42), range(-20, 20)), 100),
 }
 
+# reports pinned by the byte length and sha256 of their stdout
+DIGESTED = ("ladder_", "corner_")
+
 # (demo instance, codimension) drawn by ``cones --svg``
 SVGS = [("split210.json", 1), ("split210.json", 2), ("unstable.json", 2), ("worked.json", 1)]
 
@@ -106,7 +113,8 @@ def _cases():
         argvs += [["verdict"], ["verdict", "--pretty"], ["cones", "-c", "1"], ["cones", "-c", "2"]]
         argvs += [["sweep", "--h-max", "12"], ["sweep", "--h-max", "60"], ["oracle", "--h-max", "6"]]
         if path.name == "worked.json":
-            argvs.append(["sweep", "--h-max", "12", "--pretty"])
+            # --h-max 30 is the largest within MAX_ORACLE_WORK: 185,504, and 209,440 at 31
+            argvs += [["sweep", "--h-max", "12", "--pretty"], ["oracle", "--h-max", "30"]]
         out += [(f"{path.name} {' '.join(a)}", a, doc) for a in argvs]
     for name, doc in INLINE.items():
         argvs = [["invariants", "-h", "1"], ["invariants", "-h", "7"], ["verdict"], ["sweep", "--h-max", "12"]]
@@ -123,6 +131,10 @@ def _cases():
         if name == "W":
             argvs.append(["sweep", "--h-max", str(h_max), "--pretty"])
         out += [(f"ladder_{name} {' '.join(a)}", a, doc) for a in argvs]
+    for name, (k, y) in CORNERS.items():
+        doc = _instance(200, 17, k, y)
+        argvs = [["verdict"], ["sweep", "--h-max", "10000"], ["invariants", "-h", "10000"]]
+        out += [(f"corner_{name} {' '.join(a)}", a, doc) for a in argvs]
     for name, c in SVGS:
         doc = json.loads((INSTANCES / name).read_text(encoding="utf-8"))
         out.append((f"{name} cones -c {c} --svg", ["cones", "-c", str(c), "--svg"], doc))
@@ -172,7 +184,7 @@ def test_case_ids_match(golden):
 
 @pytest.mark.parametrize("case_id, argv, doc", CASES, ids=[case_id for case_id, _, _ in CASES])
 def test_report(golden, tmp_path, case_id, argv, doc):
-    assert run_case(argv, doc, tmp_path, case_id.startswith("ladder_")) == golden[case_id]
+    assert run_case(argv, doc, tmp_path, case_id.startswith(DIGESTED)) == golden[case_id]
 
 
 def regenerate(case_ids, path, workdir):
@@ -184,7 +196,7 @@ def regenerate(case_ids, path, workdir):
     got = json.loads(path.read_text(encoding="utf-8")) if case_ids else {}
     for case_id in case_ids or cases:
         argv, doc = cases[case_id]
-        got[case_id] = run_case(argv, doc, workdir, case_id.startswith("ladder_"))
+        got[case_id] = run_case(argv, doc, workdir, case_id.startswith(DIGESTED))
     path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return len(case_ids or cases)
 

@@ -16,7 +16,10 @@ so no module passes one to the exception or reads one off it.  The
 README's "Library layout" table names only types that ``relci`` exports.
 The compute path stays exact: no module but the drawing code ``svg``
 holds a float literal or calls ``float``, or takes from ``math`` any
-but its integer functions.
+but its integer functions.  The front end writes each reported value in
+one place: an instance (a dict display with "rank" and "degree" keys)
+only in ``instance_to_json``, and a ``contact`` subvariety (an "e_f"
+key) only in ``_contact_json``.
 """
 
 import ast
@@ -243,3 +246,18 @@ def test_readme_layout_names_exported_types():
     camel = {name for name in heads if re.fullmatch(r"(?:[A-Z][a-z0-9]+){2,}", name)}
     assert camel, "the table names no CamelCase type"
     assert sorted(camel - set(importlib.import_module("relci").__all__)) == []
+
+
+def test_one_json_form_per_reported_value():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    homes = {"instance": set(), "contact": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Dict):
+                keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+                home = getattr(top, "name", f"module level: {node.lineno}")
+                if {"rank", "degree"} <= keys:
+                    homes["instance"].add(home)
+                if "e_f" in keys:
+                    homes["contact"].add(home)
+    assert homes == {"instance": {"instance_to_json"}, "contact": {"_contact_json"}}

@@ -53,7 +53,7 @@ VALUES = {
     "RelativeCI": (X, "k"),
     "ContactInstance": (ContactInstance(3, 1, 2, 4), "deg"),
     "WeightFiltration": (WeightFiltration((1, 1, 1, 1)), "weights"),
-    "VerdictReport": (VerdictReport("T", {}, "C"), "conclusion"),
+    "VerdictReport": (VerdictReport("T", {}, "C", {}), "conclusion"),
     "PushforwardSummary": (pushforward(X, 2), "rank"),
     "CanonicalClass": (canonical_class(X), "h_coeff"),
     "SurfaceFormulaReport": (surface_formula_check(X), "ratio_holds"),
@@ -84,7 +84,7 @@ def test_cached_properties_cannot_be_assigned():
     (X, {"k": (3, 1)}, InputError),
     (ContactInstance(3, 1, 2, 4), {"deg": 0}, InputError),
     (WeightFiltration((1, 1)), {"weights": (0, 0)}, InputError),
-    (VerdictReport("T", {"gate": False}, "Undetermined"), {"conclusion": "C"}, InternalCheckError),
+    (VerdictReport("T", {"gate": False}, "Undetermined", {}), {"conclusion": "C"}, InternalCheckError),
 ], ids=["BundleOverCurve", "CycleClass", "RelativeCI", "ContactInstance", "WeightFiltration",
         "VerdictReport"])
 def test_replace_validates(value, change, error):
