@@ -246,7 +246,7 @@ class _JsonText:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    """Write the report; a ``_JsonText`` value (sweep's margins) is spliced in once."""
+    """Write the report; a ``_JsonText`` value (compact sweep margins) is spliced in once."""
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     held = []  # written "\u0000" first, a string no report value contains
 
@@ -261,7 +261,7 @@ def _emit(report: dict, pretty: bool) -> None:
 # ---------------------------------------------------------------- commands
 #
 # A command returns the result of its report, already encoded (``_enc``;
-# sweep's margins as ``_JsonText``); ``main`` adds the echo (the instance
+# compact sweep margins as ``_JsonText``); ``main`` adds the echo (the instance
 # it loaded, or the flags of ``example``) and the warnings.  ``contact``
 # reads its own input and returns (echo, result).
 
@@ -340,24 +340,21 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
 def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)  # h_max >= 1: the array is never empty
     rows, words = enumerate(sweep.margins, 1), _SIGN_WORDS
-    # the margins array as json.dumps writes it, by --pretty: keys sorted, and the
+    # compact: the margins array as json.dumps writes it, keys sorted, and the
     # values, decimals and sign words, need no escaping
     try:
-        if args.pretty:
-            text = "[\n" + ",\n".join([
-                f'      {{\n        "e_cleared": "{m}",\n        "h": "{h}",\n'
-                f'        "sign": "{words[(m > 0) - (m < 0)]}"\n      }}' for h, m in rows
-            ]) + "\n    ]"
+        if args.pretty:  # plain rows, which ``_emit`` lays out
+            margins = _enc([{"e_cleared": m, "h": h, "sign": _sign_word(m)} for h, m in rows])
         else:
-            text = "[" + ",".join([
+            margins = _JsonText("[" + ",".join([
                 f'{{"e_cleared":"{m}","h":"{h}","sign":"{words[(m > 0) - (m < 0)]}"}}'
                 for h, m in rows
-            ]) + "]"
+            ]) + "]")
     except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
         _num(max(map(abs, sweep.margins)))
         raise
     return {
-        "margins": _JsonText(text),
+        "margins": margins,
         "stable_poly_coeffs": _enc(sweep.stable_poly),
         "sign_stable_from": _num(sweep.sign_stable_from),
         "eventual_sign": _sign_word(sweep.eventual_sign),
@@ -413,7 +410,7 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[object, dict]:
 
 
 def _cmd_example(args: argparse.Namespace) -> dict:
-    _, X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
+    X, report = build_example(args.a, args.r, args.c, args.m, args.orientation)
     result = instance_to_json(X)
     del result["bundle"]["base_genus"], result["bundle"]["split"]  # the family's: always 0 and null
     return _enc({**result, "verdict": report._asdict()})

@@ -229,7 +229,7 @@ class Orientation(str, Enum):
 
 def build_example(
     a: int, r: int, c: int, m: int, orientation: Orientation | str
-) -> tuple[BundleOverCurve, RelativeCI, VerdictReport]:
+) -> tuple[RelativeCI, VerdictReport]:
     """Candidate unstable family over a genus-0 base, with validation.
 
     The bundle is O(a)^(r-1) + O(a-1), of degree r*a - 1, whose two
@@ -279,7 +279,7 @@ def build_example(
             "orientation": orientation.value,
         },
     )
-    return bundle, X, report
+    return X, report
 
 
 class SweepResult(namedtuple("SweepResult", "margins stable_poly sign_stable_from eventual_sign")):

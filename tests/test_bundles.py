@@ -37,6 +37,14 @@ class TestBundleValidation:
         with pytest.raises(InputError):
             BundleOverCurve(4, 4, hn=((2, 3), (2, 2)))
 
+    @pytest.mark.parametrize("genus, hn, message", [
+        (-1, None, "base genus must be >= 0"),
+        (0, ((0, 0), (4, 4)), "hn block ranks must be >= 1"),
+    ], ids=["negative_genus", "empty_block"])
+    def test_rejected_with_message(self, genus, hn, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            BundleOverCurve(4, 4, genus, hn)
+
     def test_hn_strictly_decreasing(self):
         with pytest.raises(InputError):
             BundleOverCurve(4, 4, hn=((2, 2), (2, 2)))

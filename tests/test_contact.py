@@ -79,6 +79,14 @@ class TestIntersection:
         with pytest.raises(InputError):
             contact_of_intersection(Y, Z, W1111)
 
+    @pytest.mark.parametrize("z_ambient, w, message", [
+        (4, W1111, "instances live in different ambient spaces"),
+        (3, WeightFiltration((1, 1, 1, 1, 1)), "filtration ambient does not match the instances"),
+    ], ids=["instances", "filtration"])
+    def test_ambient_mismatch(self, z_ambient, w, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            contact_of_intersection(ContactInstance(3, 2, 1, 0), ContactInstance(z_ambient, 2, 1, 0), w)
+
     def test_bezout_outputs(self):
         Y = ContactInstance(4, 3, 5, 0)
         Z = ContactInstance(4, 2, 7, 0)

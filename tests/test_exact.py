@@ -118,6 +118,10 @@ class TestSignedTables:
         with pytest.raises(InputError):
             signed_subset_tables([2, 0], [1, 1])
 
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(InputError, match="^signed_subset_tables: weight/value length mismatch$"):
+            signed_subset_tables([2, 1], [1])
+
 
 class TestInterpolate:
     def test_parabola(self):

@@ -4,6 +4,7 @@ import pytest
 
 from relci import (
     BundleOverCurve,
+    ChowClass,
     InputError,
     RelativeCI,
     canonical_top_power,
@@ -122,6 +123,12 @@ class TestChowExpand:
         s = chow_expand(X)
         assert s.h_top == 6 * 7
         assert (s.ci_class.p, s.ci_class.q) == (6, 0)
+
+    def test_degrees_start_at_1(self):
+        with pytest.raises(InputError, match="^graded pieces start in degree 1$"):
+            ChowClass(0, 1, 0)
+        with pytest.raises(InputError, match="^powers start at 1$"):
+            ChowClass(1, 1, 0) ** 0
 
     def test_matches_closed_forms(self, rng):
         from tests.conftest import make_ci

@@ -212,14 +212,14 @@ class TestInstability:
 
 class TestBuildExample:
     def test_as_written_fails_effectivity(self):
-        _, X, rep = build_example(1, 4, 2, 2, Orientation.AS_WRITTEN)
+        X, rep = build_example(1, 4, 2, 2, Orientation.AS_WRITTEN)
         assert X.k == (6, 6) and X.y == (10, 10)
         flags = dict(rep.hypotheses)
         assert not flags["effective"]
         assert rep.conclusion == "Undetermined"
 
     def test_swapped_fails_instability(self):
-        _, X, rep = build_example(1, 4, 2, 2, "swapped")
+        X, rep = build_example(1, 4, 2, 2, "swapped")
         assert X.k == (10, 10) and X.y == (6, 6)
         flags = dict(rep.hypotheses)
         assert flags["effective"] and flags["base_locus_on_section"]
@@ -227,23 +227,25 @@ class TestBuildExample:
         assert rep.witnesses["ratio"] == Fraction(3, 5)
 
     def test_small_swapped_case(self):
-        bundle, X, rep = build_example(1, 3, 1, 1, Orientation.SWAPPED)
+        X, rep = build_example(1, 3, 1, 1, Orientation.SWAPPED)
         assert X.k == (4,) and X.y == (2,)
-        assert bundle.slope == Fraction(2, 3)
+        assert X.bundle.slope == Fraction(2, 3)
         flags = dict(rep.hypotheses)
         assert flags["effective"] and flags["base_locus_on_section"]
         assert not flags["instability_excess"]
 
     def test_bundle_profile(self):
-        bundle, _, _ = build_example(2, 5, 3, 1, Orientation.AS_WRITTEN)
-        assert bundle.degree == 9
-        assert bundle.hn == ((4, 8), (1, 1))
+        X, _ = build_example(2, 5, 3, 1, Orientation.AS_WRITTEN)
+        assert X.bundle.degree == 9
+        assert X.bundle.hn == ((4, 8), (1, 1))
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
             build_example(0, 4, 2, 1, Orientation.SWAPPED)
         with pytest.raises(InputError):
             build_example(1, 4, 3, 1, Orientation.SWAPPED)
+        with pytest.raises(InputError, match="^family needs rank >= 3$"):
+            build_example(1, 2, 1, 1, Orientation.SWAPPED)
 
 
 class TestSweep:
