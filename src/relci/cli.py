@@ -340,19 +340,19 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
 def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
     sweep = h_sweep(X, args.h_max)  # h_max >= 1: the array is never empty
     rows, words = enumerate(sweep.margins, 1), _SIGN_WORDS
-    # compact: the margins array as json.dumps writes it, keys sorted, and the
-    # values, decimals and sign words, need no escaping
-    try:
-        if args.pretty:  # plain rows, which ``_emit`` lays out
-            margins = _enc([{"e_cleared": m, "h": h, "sign": _sign_word(m)} for h, m in rows])
-        else:
+    if args.pretty:  # plain rows, which ``_emit`` lays out
+        margins = _enc([{"e_cleared": m, "h": h, "sign": _sign_word(m)} for h, m in rows])
+    else:
+        # compact: the margins array as json.dumps writes it, keys sorted, and
+        # the values, decimals and sign words, need no escaping
+        try:
             margins = _JsonText("[" + ",".join([
                 f'{{"e_cleared":"{m}","h":"{h}","sign":"{words[(m > 0) - (m < 0)]}"}}'
                 for h, m in rows
             ]) + "]")
-    except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
-        _num(max(map(abs, sweep.margins)))
-        raise
+        except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
+            _num(max(map(abs, sweep.margins)))
+            raise
     return {
         "margins": margins,
         "stable_poly_coeffs": _enc(sweep.stable_poly),

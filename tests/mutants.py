@@ -1,21 +1,22 @@
 """Source mutants of the exact kernels, each run against the tier-1 tests named for it.
 
 Each mutant is one exact text substitution in one file under ``src/relci``.
-For each, one at a time, the script copies ``src``, ``tests``, ``demos``,
-``pyproject.toml`` and ``README.md`` into a temporary directory, applies the
-substitution to the copy and runs the mutant's node ids there in one fresh
+The script copies ``src``, ``tests``, ``demos``, ``pyproject.toml`` and
+``README.md`` into a temporary directory and first runs every named node id
+there unmutated, which must pass.  Then, one mutant at a time, it applies the
+substitution to a fresh copy and runs the mutant's node ids in one fresh
 pytest process (the whole of tier-1 when it names none).  The mutant is
-caught when that run fails.  Run from the repository root, every mutant or
-only those named::
+caught when tests fail or fail to collect (pytest exit status 1 or 2).  Run
+from the repository root::
 
     python3 tests/mutants.py
-    python3 tests/mutants.py koszul_no_reset alpha_rank_minus_one
 
 The exit status is 1 when a mutant that should be caught survives, or an
-expected survivor is caught (its reason is then stale).  This file is not a
-test module; ``tests/test_mutants.py`` checks in tier-1, without running
-anything, that each substitution still applies exactly once and each node
-id still names a test.
+expected survivor is caught (its reason is then stale).  Any other pytest
+exit status, or a run past the timeout, stops the script with pytest's
+output.  This file is not a test module; ``tests/test_mutants.py`` checks in
+tier-1, without running anything, that each substitution still applies
+exactly once and each node id still names a test.
 """
 
 import os
@@ -95,9 +96,27 @@ SURVIVORS = {
 }
 
 
-def run(name: str) -> tuple[bool, float]:
-    """Apply one mutant to a fresh copy of the tree and run its tests: (caught, seconds)."""
-    path, old, new, ids = MUTANTS[name]
+def _pytest(tmp: str, ids) -> int:
+    """Run ``ids`` (all of tier-1 when empty) in the tree at ``tmp``: pytest's exit status."""
+    args = [sys.executable, "-m", "pytest", "-q", "-x", "--tb=short", "-p", "no:cacheprovider",
+            # test_mutants.py is left out: a mutated copy no longer holds the old text
+            "--ignore=tests/test_mutants.py", *(ids or ["tests"])]
+    try:
+        proc = subprocess.run(args, cwd=tmp, env={**os.environ, "PYTHONPATH": "src"},
+                              timeout=TIMEOUT_S, capture_output=True, text=True)
+    except subprocess.TimeoutExpired as exc:  # its output is bytes, text=True or not
+        output = (exc.stdout or b"").decode(errors="replace")
+        raise SystemExit(f"pytest ran past {TIMEOUT_S} s:\n{output}") from exc
+    if proc.returncode not in (0, 1, 2):  # 1: tests failed, 2: a collection error
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return proc.returncode
+
+
+def run(name: str | None) -> tuple[bool, float]:
+    """Run one mutant's tests in a fresh copy of the tree: (caught, seconds).
+
+    ``None`` runs every named node id on the unmutated copy instead.
+    """
     with tempfile.TemporaryDirectory(prefix="relci-mutant-") as tmp:
         for part in COPIED:
             source, target = ROOT / part, Path(tmp) / part
@@ -105,31 +124,27 @@ def run(name: str) -> tuple[bool, float]:
                 shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(source, target)
-        target = Path(tmp) / path
-        text = target.read_text(encoding="utf-8")
-        if text.count(old) != 1:
-            raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {path}")
-        target.write_text(text.replace(old, new), encoding="utf-8")
+        if name is None:
+            ids = sorted({node_id for *_, named in MUTANTS.values() for node_id in named})
+        else:
+            path, old, new, ids = MUTANTS[name]
+            target = Path(tmp) / path
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {path}")
+            target.write_text(text.replace(old, new), encoding="utf-8")
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                # test_mutants.py is left out: the copy no longer holds the old text, by design
-                [sys.executable, "-m", "pytest", "-q", "-x", "--tb=no", "-p", "no:cacheprovider",
-                 "--ignore=tests/test_mutants.py", *(ids or ["tests"])],
-                cwd=tmp, env={**os.environ, "PYTHONPATH": "src"}, timeout=TIMEOUT_S,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            )
-        except subprocess.TimeoutExpired:  # a mutant that hangs the tests is caught too
-            return True, time.perf_counter() - start
-    return proc.returncode != 0, time.perf_counter() - start
+        caught = _pytest(tmp, ids) != 0
+    return caught, time.perf_counter() - start
 
 
-def main(names: list[str]) -> int:
-    unknown = sorted(set(names) - set(MUTANTS))
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+def main() -> int:
+    broken, seconds = run(None)
+    if broken:
+        raise SystemExit("the named tests fail on the unmutated copy")
+    print(f"{'(unmutated)':32} {'passed':9} {seconds:6.1f} s", flush=True)
     wrong = 0
-    for name in names or MUTANTS:
+    for name in MUTANTS:
         caught, seconds = run(name)
         expected = name not in SURVIVORS
         wrong += caught != expected
@@ -140,4 +155,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
