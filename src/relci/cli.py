@@ -246,22 +246,23 @@ class _JsonText:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    """Write the report; a ``_JsonText`` value (compact sweep margins) is spliced in once."""
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    """Write the report compact, a ``_JsonText`` spliced in once; ``--pretty`` re-lays the text."""
     held = []  # written "\u0000" first, a string no report value contains
 
     def hold(value: _JsonText) -> str:
         held.append(value.text)
         return "\0"
 
-    text = json.dumps(report, sort_keys=True, default=hold, **layout)
-    sys.stdout.write((text.replace('"\\u0000"', held[0], 1) if held else text) + "\n")
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=hold)
+    text = text.replace('"\\u0000"', held[0], 1) if held else text
+    # json.loads gives the report back: keys sorted, values strings, bools, nulls, lists, dicts
+    sys.stdout.write((json.dumps(json.loads(text), indent=2) if pretty else text) + "\n")
 
 
 # ---------------------------------------------------------------- commands
 #
 # A command returns the result of its report, already encoded (``_enc``;
-# compact sweep margins as ``_JsonText``); ``main`` adds the echo (the instance
+# sweep margins as ``_JsonText``); ``main`` adds the echo (the instance
 # it loaded, or the flags of ``example``) and the warnings.  ``contact``
 # reads its own input and returns (echo, result).
 
@@ -338,21 +339,17 @@ def _cmd_cones(X: RelativeCI, args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(X: RelativeCI, args: argparse.Namespace) -> dict:
+    """The margins as compact ``json.dumps`` writes row dicts: no value needs escaping."""
     sweep = h_sweep(X, args.h_max)  # h_max >= 1: the array is never empty
     rows, words = enumerate(sweep.margins, 1), _SIGN_WORDS
-    if args.pretty:  # plain rows, which ``_emit`` lays out
-        margins = _enc([{"e_cleared": m, "h": h, "sign": _sign_word(m)} for h, m in rows])
-    else:
-        # compact: the margins array as json.dumps writes it, keys sorted, and
-        # the values, decimals and sign words, need no escaping
-        try:
-            margins = _JsonText("[" + ",".join([
-                f'{{"e_cleared":"{m}","h":"{h}","sign":"{words[(m > 0) - (m < 0)]}"}}'
-                for h, m in rows
-            ]) + "]")
-        except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
-            _num(max(map(abs, sweep.margins)))
-            raise
+    try:
+        margins = _JsonText("[" + ",".join([
+            f'{{"e_cleared":"{m}","h":"{h}","sign":"{words[(m > 0) - (m < 0)]}"}}'
+            for h, m in rows
+        ]) + "]")
+    except ValueError:  # a margin past the digit limit: ``_num`` raises the exit 2
+        _num(max(map(abs, sweep.margins)))
+        raise
     return {
         "margins": margins,
         "stable_poly_coeffs": _enc(sweep.stable_poly),

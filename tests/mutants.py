@@ -1,4 +1,4 @@
-"""Source mutants of the exact kernels, each run against the tier-1 tests named for it.
+"""Source mutants of the exact kernels and the report layout, each run against its tier-1 tests.
 
 Each mutant is one exact text substitution in one file under ``src/relci``.
 The script copies ``src``, ``tests``, ``demos``, ``pyproject.toml`` and
@@ -35,6 +35,7 @@ SHIFT = "shift = sum(map(abs, val)).bit_length() + bound.bit_length() + 2"
 STEP = "b = b * m // (m - r + 1) if b else binom_trunc(m, r - 1)"
 STABLE_TRIM = "    while out and not out[-1]:\n"
 INV = "tests/test_invariants.py::"
+GOLDEN = "tests/test_golden.py::test_report"
 PACKED = (f"{INV}TestMarginRuns::test_packed_band_at_its_width",
           f"{INV}TestStablePoly::test_one_packed_pass_equals_two_passes")
 
@@ -81,6 +82,13 @@ MUTANTS = {
     "run_window_of_n": (
         INVARIANTS, "h_run = min(h_max, start + n)", "h_run = min(h_max, start + n - 1)",
         (f"{INV}TestMarginRuns::test_tail_at_sampled_twists", f"{INV}TestMarginRuns::test_draws"),
+    ),
+    # --pretty re-lays the compact report at another indent
+    "pretty_indent_1": (
+        "src/relci/cli.py", "json.dumps(json.loads(text), indent=2)",
+        "json.dumps(json.loads(text), indent=1)",
+        (f"{GOLDEN}[worked.json verdict --pretty]",
+         f"{GOLDEN}[worked.json sweep --h-max 12 --pretty]"),
     ),
     # h_sweep holds the stable polynomial to the run at n twists instead of n + 1
     "sweep_check_window_of_n": (

@@ -512,6 +512,51 @@ class TestExampleCommand:
         assert verdict["hypotheses"]["instability_excess"] is False
 
 
+def layout_cases():
+    """name: (argv, document written to the ``-i`` file or None), for every subcommand.
+
+    The demo instances under each instance command (``cones`` and ``oracle`` exit 2 on
+    ``no_hn.json``), a ``contact`` input, the ``example`` family in both orientations,
+    and an instance of rank 1, which exits 2.
+    """
+    cases = {}
+    argvs = [["invariants", "-h", "2"], ["verdict"], ["cones", "-c", "1"],
+             ["sweep", "--h-max", "12"], ["oracle", "--h-max", "3"]]
+    for path in sorted((DEMOS / "instances").glob("*.json")):
+        for argv in argvs:
+            cases[f"{path.name} {argv[0]}"] = ([*argv, "-i", str(path)], None)
+    cases["contact"] = (["contact"], {"weights": ["1", "1", "1", "1"],
+                                      "y": {"dim": 1, "deg": 2, "e_f": "4"},
+                                      "z": {"dim": 2, "deg": 3, "e_f": "6/5"}})
+    for orientation in ("as-written", "swapped"):
+        cases[f"example {orientation}"] = (["example", "--a", "1", "--r", "4", "--c", "2", "--m",
+                                            "2", "--orientation", orientation], None)
+    cases["rank_1 verdict"] = (["verdict"], {"bundle": {"rank": 1, "degree": 0},
+                                             "ci": {"k": [2], "y": [0]}})
+    return cases
+
+
+LAYOUT_CASES = layout_cases()
+
+
+class TestLayouts:
+    """``--pretty`` prints the compact report re-laid by ``json.dumps(indent=2)``."""
+
+    def test_cases_cover_every_subcommand(self):
+        commands = {argv[0] for argv, _ in LAYOUT_CASES.values()}
+        assert commands == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    def test_same_report_stderr_and_exit_code(self, capsys, tmp_path, name):
+        argv, doc = LAYOUT_CASES[name]
+        if doc is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [*argv, "-i", str(path)]
+        code, compact, err = run_main(capsys, *argv)
+        relaid = json.dumps(json.loads(compact), indent=2) + "\n" if compact else ""
+        assert run_main(capsys, *argv, "--pretty") == (code, relaid, err)
+
 
 class TestOracleCanFail:
     def test_wrong_degree_is_reported(self, capsys, monkeypatch, worked_file):

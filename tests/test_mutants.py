@@ -5,6 +5,7 @@ fails here at once, without running any mutant.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,20 @@ import pytest
 from tests.mutants import MUTANTS, SURVIVORS
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_reports.json"
 
 
 def _defines(node_id: str) -> bool:
-    """Whether the file of ``path::Class::test`` defines that class and test."""
+    """Whether the file of ``path::Class::test`` defines that class and test.
+
+    Of parametrized tests, only golden cases are named, as ``test_report[case id]``.
+    """
     path, *names = node_id.split("::")
+    names[-1], bracket, case = names[-1].partition("[")
+    if bracket:  # the case ids are the keys of the expected reports
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if (path, names) != ("tests/test_golden.py", ["test_report"]) or case[:-1] not in golden:
+            return False
     body = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
     for name in names:
         found = [node for node in body
