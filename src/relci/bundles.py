@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import InputError, shown
+from .errors import InputError, integer, shown
 
 __all__ = [
     "BundleOverCurve",
@@ -76,12 +76,13 @@ class BundleOverCurve(namedtuple("BundleOverCurve", "rank degree base_genus hn l
     def __new__(cls, rank: int, degree: int, base_genus: int = 0,
                 hn: tuple[tuple[int, int], ...] | None = None,
                 line_degrees: tuple[int, ...] | None = None) -> "BundleOverCurve":
+        rank, degree, base_genus = map(integer, (rank, degree, base_genus), cls._fields)
         if rank < 2:
             raise InputError(f"bundle rank must be >= 2, got {shown(rank)}")
         if base_genus < 0:
             raise InputError("base genus must be >= 0")
         if hn is not None:
-            hn = tuple((int(r), int(d)) for r, d in hn)
+            hn = tuple((integer(r, "hn"), integer(d, "hn")) for r, d in hn)
             if any(r < 1 for r, _ in hn):
                 raise InputError("hn block ranks must be >= 1")
             if sum(r for r, _ in hn) != rank:
@@ -92,9 +93,10 @@ class BundleOverCurve(namedtuple("BundleOverCurve", "rank degree base_genus hn l
             slopes = [Fraction(d, r) for r, d in hn]
             if any(a <= b for a, b in zip(slopes, slopes[1:])):
                 raise InputError("hn block slopes must be strictly decreasing")
-        # the blocks sum to (rank, degree), so this pins the summand count and sum too
-        if line_degrees is not None and split_hn_blocks(line_degrees) != hn:
-            raise InputError("line degrees disagree with the Harder-Narasimhan profile")
+        if line_degrees is not None:
+            line_degrees = tuple(integer(a, "line_degrees") for a in line_degrees)
+            if split_hn_blocks(line_degrees) != hn:  # so the count and sum are rank and degree
+                raise InputError("line degrees disagree with the Harder-Narasimhan profile")
         return super().__new__(cls, rank, degree, base_genus, hn, line_degrees)
 
     @classmethod
@@ -103,7 +105,7 @@ class BundleOverCurve(namedtuple("BundleOverCurve", "rank degree base_genus hn l
 
     @classmethod
     def split(cls, line_degrees: Sequence[int], base_genus: int = 0) -> "BundleOverCurve":
-        degs = tuple(int(a) for a in line_degrees)
+        degs = tuple(integer(a, "line_degrees") for a in line_degrees)
         return cls(len(degs), sum(degs), base_genus, split_hn_blocks(degs), degs)
 
     @property

@@ -9,8 +9,9 @@ the messages of both classes to one short line, whatever the numbers.
 
 from decimal import Decimal
 from fractions import Fraction
+from operator import index
 
-__all__ = ["InputError", "HypothesisError", "InternalCheckError", "shown"]
+__all__ = ["InputError", "HypothesisError", "InternalCheckError", "shown", "integer"]
 
 _SHOWN = 60  # the longest input a message repeats whole
 
@@ -29,6 +30,15 @@ def shown(value: object) -> str:
 
 class InputError(ValueError):
     """Raised when caller-supplied data violates a documented precondition."""
+
+
+def integer(value: object, field: str) -> int:
+    """``value`` as an int; ``InputError`` naming ``field`` for a float, a Fraction and the like."""
+    try:
+        return index(value)
+    except TypeError:
+        kind = type(value).__name__
+        raise InputError(f"{field}: expected an integer, got {shown(value)} ({kind})") from None
 
 
 class HypothesisError(InputError):

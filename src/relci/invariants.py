@@ -53,7 +53,7 @@ from math import comb, prod
 from operator import mul
 
 from .bundles import BundleOverCurve, CycleClass, mn_divisor_test
-from .errors import HypothesisError, InputError, InternalCheckError, shown
+from .errors import HypothesisError, InputError, InternalCheckError, integer, shown
 from .exact import binom_trunc, signed_subset_tables
 
 __all__ = [
@@ -91,7 +91,7 @@ class RelativeCI(namedtuple("RelativeCI", "bundle k y")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __new__(cls, bundle: BundleOverCurve, k: tuple[int, ...], y: tuple[int, ...]) -> "RelativeCI":
-        k, y = tuple(int(v) for v in k), tuple(int(v) for v in y)
+        k, y = tuple(integer(v, "k") for v in k), tuple(integer(v, "y") for v in y)
         if len(k) != len(y):
             raise InputError("k and y must have the same length")
         if not 1 <= len(k) <= bundle.rank - 2:

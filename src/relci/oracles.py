@@ -11,8 +11,8 @@ None of these reuse the closed forms they validate:
 * pushforward ranks as coefficients of the fibre Hilbert series
   prod (1 - t^k_i) / (1 - t)^r, by truncated integer series
   multiplication;
-* intersection numbers through a tiny symbolic normal-form engine for
-  the cycle ring of the projective bundle (relations S*S = 0,
+* intersection numbers by multiplying ``CycleClass`` values factor by
+  factor in the cycle ring of the projective bundle (relations S*S = 0,
   H^r = d * point, H^(r-1) * S = point).
 
 ``cross_check`` runs all four against the closed forms on one split instance.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
 from .bundles import BundleOverCurve, CycleClass
@@ -40,7 +41,6 @@ from .invariants import (
 )
 
 __all__ = [
-    "ChowClass",
     "ChowSummary",
     "sym_degree_bruteforce",
     "koszul_degree_bruteforce",
@@ -106,47 +106,16 @@ def hilbert_series_rank(k: tuple[int, ...], r: int, h: int) -> int:
     return sum(num[j] * binom_trunc(h - j + r - 1, r - 1) for j in range(h + 1))
 
 
-class ChowClass:
-    """Normal form u * H^p + v * H^(p-1) * S in the cycle ring of P.
+def _times(a: CycleClass, b: CycleClass) -> CycleClass:
+    """Product in the cycle ring of P, where S * S = 0."""
+    return CycleClass(a.codim + b.codim, a.p * b.p, a.p * b.q + a.q * b.p)
 
-    Products use S * S = 0; a full-degree class contracts to the scalar
-    u * d + v via H^r = d * point and H^(r-1) * S = point.
-    """
 
-    __slots__ = ("codim", "u", "v")
-
-    def __init__(self, codim: int, u: Fraction | int, v: Fraction | int) -> None:
-        if codim < 1:
-            raise InputError("graded pieces start in degree 1")
-        self.codim = codim
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-
-    def __mul__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(
-            self.codim + other.codim,
-            self.u * other.u,
-            self.u * other.v + self.v * other.u,
-        )
-
-    def __pow__(self, n: int) -> "ChowClass":
-        if n < 1:
-            raise InputError("powers start at 1")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def contract(self, bundle_degree: int, rank: int) -> Fraction:
-        """Scalar of a top-degree class."""
-        if self.codim != rank:
-            raise InternalCheckError(
-                f"contracting degree {shown(self.codim)}, expected {shown(rank)}"
-            )
-        return self.u * bundle_degree + self.v
-
-    def __repr__(self) -> str:
-        return f"ChowClass(codim={self.codim}, u={self.u}, v={self.v})"
+def _contract(cls: CycleClass, bundle_degree: int, rank: int) -> Fraction:
+    """Scalar of a top-degree class, via H^r = d * point and H^(r-1) * S = point."""
+    if cls.codim != rank:
+        raise InternalCheckError(f"contracting degree {shown(cls.codim)}, expected {shown(rank)}")
+    return cls.p * bundle_degree + cls.q
 
 
 class ChowSummary(namedtuple("ChowSummary", "h_top fibre_deg kf_top ci_class")):
@@ -164,26 +133,20 @@ def chow_expand(X: RelativeCI) -> ChowSummary:
     pairing against the canonical combination (top canonical number).
     """
     r, d = X.rank, X.degree
-    H = ChowClass(1, 1, 0)
-    S = ChowClass(1, 0, 1)
-    cls = ChowClass(1, X.k[0], -X.y[0])
-    for ki, yi in zip(X.k[1:], X.y[1:]):
-        cls = cls * ChowClass(1, ki, -yi)
+    H, S = CycleClass(1, 1, 0), CycleClass(1, 0, 1)
+    cls = reduce(_times, [CycleClass(1, ki, -yi) for ki, yi in zip(X.k, X.y)])
 
-    def as_int(x: Fraction) -> int:
+    def number(factors: list[CycleClass]) -> int:
+        x = _contract(reduce(_times, factors, cls), d, r)
         if x.denominator != 1:
             raise InternalCheckError(f"expected integer intersection number, got {shown(x)}")
         return int(x)
 
-    top = as_int((cls * H ** (r - X.codim)).contract(d, r))
-    fib = as_int((cls * S * H ** (r - X.codim - 1)).contract(d, r))
-    a, b = X.k_sum - r, X.y_sum - d
-    kf = as_int((cls * ChowClass(1, a, -b) ** X.dim).contract(d, r))
     return ChowSummary(
-        h_top=top,
-        fibre_deg=fib,
-        kf_top=kf,
-        ci_class=CycleClass(X.codim, cls.u, cls.v),
+        h_top=number([H] * (r - X.codim)),
+        fibre_deg=number([S] + [H] * (r - X.codim - 1)),
+        kf_top=number([CycleClass(1, X.k_sum - r, d - X.y_sum)] * X.dim),  # K_f^(dim X)
+        ci_class=cls,
     )
 
 

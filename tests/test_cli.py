@@ -711,12 +711,12 @@ class TestExit3NamesTheInstance:
         assert err.endswith(f" for instance {json.dumps(self.echo_of('no_hn.json'))}\n")
 
     def test_oracle_chow_contraction(self, capsys, monkeypatch):
-        true_contract = oracles.ChowClass.contract
+        true_contract = oracles._contract
 
-        def one_rank_off(self, bundle_degree, rank):
-            return true_contract(self, bundle_degree, rank + 1)
+        def one_rank_off(cls, bundle_degree, rank):
+            return true_contract(cls, bundle_degree, rank + 1)
 
-        monkeypatch.setattr(oracles.ChowClass, "contract", one_rank_off)
+        monkeypatch.setattr(oracles, "_contract", one_rank_off)
         code, out, err = run_main(capsys, "oracle", "-i", str(DEMOS / "instances" / "worked.json"),
                                   "--h-max", "3")
         assert (code, out) == (3, "")
@@ -763,12 +763,12 @@ class TestExit3NamesTheInstance:
                            "slope equivalence broke: kf_top -1, margin ")
 
     def test_oracle_chow_integrality(self, capsys, monkeypatch):
-        true_contract = oracles.ChowClass.contract
+        true_contract = oracles._contract
 
-        def half_off(self, bundle_degree, rank):
-            return true_contract(self, bundle_degree, rank) + Fraction(1, 2)
+        def half_off(cls, bundle_degree, rank):
+            return true_contract(cls, bundle_degree, rank) + Fraction(1, 2)
 
-        monkeypatch.setattr(oracles.ChowClass, "contract", half_off)
+        monkeypatch.setattr(oracles, "_contract", half_off)
         self.assert_exit_3(capsys, "worked.json", ["oracle", "--h-max", "3"],
                            "expected integer intersection number, got ")
 

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from relci import (
     BundleOverCurve,
@@ -383,9 +383,11 @@ class TestStablePoly:
     )), st.integers(1, 40))
     @example(([10**60] * 30, [10**60] * 30), 40)
     @example(([-(10**60)] * 30, [(-1) ** s * 10**60 for s in range(30)]), 31)
+    @settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
     def test_one_packed_pass_equals_two_passes(self, tables, count):
         # the packed moments split back exactly, whatever the entries:
-        # the packing width is sized from the val table it is given
+        # the packing width is sized from the val table it is given.  No
+        # shrinking: on 60-digit entries it takes minutes once _moments is wrong
         cnt, val = tables
         assert invariants._moments(tuple(cnt), tuple(val), count) == two_pass_moments(cnt, val, count)
 

@@ -13,6 +13,7 @@ which only their own commands import.
 """
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -98,6 +99,19 @@ def test_replace_validates(value, change, error):
 def test_replace_coerces_as_the_constructor_does():
     assert type(CycleClass(1, 1, 0)._replace(q=1).q) is Fraction
     assert X._replace(k=[3, 3]).k == (3, 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RelativeCI(X.bundle, (3.7, 3), (1.9, 2)), "k: expected an integer, got 3.7 (float)"),
+    (lambda: X._replace(y=(1, Fraction(2))), "y: expected an integer, got 2 (Fraction)"),
+    (lambda: BundleOverCurve(4, 4.5), "degree: expected an integer, got 4.5 (float)"),
+    (lambda: BundleOverCurve(4, 4, hn=((4, 4.0),)), "hn: expected an integer, got 4.0 (float)"),
+    (lambda: BundleOverCurve.split((1, 0.0)), "line_degrees: expected an integer, got 0.0 (float)"),
+], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split"])
+def test_integer_fields_reject_non_integers(build, message):
+    # a float or an integral Fraction is refused, never truncated
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_memo_stays_out_of_equality_and_hash():
