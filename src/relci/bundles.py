@@ -161,7 +161,7 @@ class CycleClass(namedtuple("CycleClass", "codim p q")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __new__(cls, codim: int, p: Fraction | int, q: Fraction | int) -> "CycleClass":
-        p, q = Fraction(p), Fraction(q)
+        codim, p, q = integer(codim, "codim"), Fraction(p), Fraction(q)
         if codim < 1:
             raise InputError("cycle codimension must be >= 1")
         return super().__new__(cls, codim, p, q)

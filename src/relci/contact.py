@@ -25,7 +25,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InputError, shown
+from .errors import InputError, integer, shown
 
 __all__ = [
     "ContactInstance",
@@ -44,6 +44,7 @@ class ContactInstance(namedtuple("ContactInstance", "ambient_n dim deg e_f")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __new__(cls, ambient_n: int, dim: int, deg: int, e_f: Fraction | int) -> "ContactInstance":
+        ambient_n, dim, deg = map(integer, (ambient_n, dim, deg), cls._fields)
         e_f = Fraction(e_f)
         if not 0 <= dim <= ambient_n:
             raise InputError(f"dimension {shown(dim)} out of range 0..{ambient_n}")

@@ -33,12 +33,13 @@ class InputError(ValueError):
 
 
 def integer(value: object, field: str) -> int:
-    """``value`` as an int; ``InputError`` naming ``field`` for a float, a Fraction and the like."""
-    try:
-        return index(value)
-    except TypeError:
-        kind = type(value).__name__
-        raise InputError(f"{field}: expected an integer, got {shown(value)} ({kind})") from None
+    """``value`` as an int; ``InputError`` naming ``field`` for a bool, float, Fraction and the like."""
+    if type(value) is not bool:  # operator.index takes True as 1
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{field}: expected an integer, got {shown(value)} ({type(value).__name__})")
 
 
 class HypothesisError(InputError):

@@ -93,7 +93,9 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
     sum_i y_i/k_i <= c * mu(E).  All three readings are computed
     independently and must agree.  The band's margins come from one run
     of twists (``positivity_margins``), so it costs additions, not one
-    Koszul sum per twist.
+    Koszul sum per twist; each is then held to the closed form,
+    r * margin(h) = h^(dim X) * binom(h + r - 1, r - 1) * alpha, with the
+    binomial stepped exactly from binom(r - 1, r - 1) = 1 at h = 0.
     """
     a = alpha_invariant(X)
     c_mu = X.codim * X.bundle.slope
@@ -106,6 +108,16 @@ def small_h_verdict(X: RelativeCI) -> VerdictReport:
             f"small-twist equivalence broke: alpha {shown(a)}, ratio {shown(X.ratio_sum)} vs "
             f"{shown(c_mu)}, margins < 0 at h = {shown([h for h, m in margins.items() if m < 0])}"
         )
+    r, n, b = X.rank, X.dim, 1
+    for h, m in margins.items():
+        b = b * (h + r - 1) // h
+        closed = h ** n * b * a
+        if r * m != closed:
+            raise InternalCheckError(
+                f"small-twist margin disagrees with its closed form at h={shown(h)}: "
+                f"r margin {shown(r * m)} vs h^{n} binom({shown(h + r - 1)}, {r - 1}) alpha "
+                f"{shown(closed)}"
+            )
     return VerdictReport(
         theorem="SmallH",
         hypotheses={},

@@ -1,13 +1,15 @@
 """Source mutants of the exact kernels and the report layout, each run against its tier-1 tests.
 
 Each mutant is one exact text substitution in one file under ``src/relci``.
-The script copies ``src``, ``tests``, ``demos``, ``pyproject.toml`` and
-``README.md`` into a temporary directory and first runs every named node id
-there unmutated, which must pass.  Then, one mutant at a time, it applies the
-substitution to a fresh copy and runs the mutant's node ids in one fresh
-pytest process (the whole of tier-1 when it names none).  The mutant is
-caught when tests fail or fail to collect (pytest exit status 1 or 2).  Run
-from the repository root::
+The script copies ``src``, ``tests``, ``demos``, ``perfbench``, ``tools``,
+``pyproject.toml``, ``README.md`` and ``BENCHMARK.json`` into a temporary
+directory (every package a tier-1 module imports, which
+``tests/test_mutants.py`` checks, and every file one reads) and first runs
+every named node id there unmutated, which must pass.  Then, one mutant at
+a time, it applies the substitution to a fresh copy and runs the mutant's
+node ids in one fresh pytest process (the whole of tier-1 when it names
+none).  The mutant is caught when tests fail or fail to collect (pytest exit
+status 1 or 2).  Run from the repository root::
 
     python3 tests/mutants.py
 
@@ -28,8 +30,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "demos", "pyproject.toml", "README.md")
-TIMEOUT_S = 300  # per mutant; all of tier-1 takes about 12–25 s
+COPIED = ("src", "tests", "demos", "perfbench", "tools", "pyproject.toml", "README.md",
+          "BENCHMARK.json")
+TIMEOUT_S = 300  # per mutant; all of tier-1 takes about 15–25 s
 INVARIANTS = "src/relci/invariants.py"
 SHIFT = "shift = sum(map(abs, val)).bit_length() + bound.bit_length() + 2"
 STEP = "b = b * m // (m - r + 1) if b else binom_trunc(m, r - 1)"
@@ -94,6 +97,13 @@ MUTANTS = {
     "oracle_product_drops_cross_term": (
         "src/relci/oracles.py", "a.p * b.q + a.q * b.p", "a.p * b.q",
         ("tests/test_oracles.py::TestChowExpand::test_matches_closed_forms",),
+    ),
+    # the slope criterion strict: on balanced alpha = 0 data with c*k > r the canonical top
+    # power and margin are 0, so the three readings disagree and verdict exits 3; no golden
+    # case sits there, the spec test's boundary draws do
+    "slope_strict": (
+        "src/relci/verdicts.py", "crit = X.bundle.slope >= ratio", "crit = X.bundle.slope > ratio",
+        ("tests/test_spec.py::test_instance_reports",),
     ),
     # h_sweep holds the stable polynomial to the run at n twists instead of n + 1
     "sweep_check_window_of_n": (

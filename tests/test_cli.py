@@ -756,6 +756,20 @@ class TestExit3NamesTheInstance:
         self.assert_exit_3(capsys, "worked.json", ["verdict"],
                            "small-twist equivalence broke: alpha -1, ratio 1 vs 2, margins ")
 
+    def test_small_twist_band_closed_form(self, capsys, monkeypatch):
+        # worked.json: r = 4, alpha 36, band margins 36 and 360; the second moved by r
+        # keeps all three signs nonnegative, but 4 * 364 is not 2^2 * C(5, 3) * 36
+        true_margins = verdicts.positivity_margins
+
+        def moved(X, h_max):
+            *head, last = true_margins(X, h_max)
+            return (*head, last + X.rank)
+
+        monkeypatch.setattr(verdicts, "positivity_margins", moved)
+        self.assert_exit_3(capsys, "worked.json", ["verdict"],
+                           "small-twist margin disagrees with its closed form at h=2: "
+                           "r margin 1456 vs h^2 binom(5, 3) alpha 1440 for instance ")
+
     def test_slope_three_ways(self, capsys, monkeypatch):
         # the canonical margin keeps its own top power, so it still agrees with the criterion
         monkeypatch.setattr(verdicts, "canonical_top_power", lambda X: -1)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from perfbench.reference import Instance, Reference
 from relci import (
     BundleOverCurve,
     ConeLabel,
@@ -41,13 +42,7 @@ from relci import (
 from relci import invariants
 from relci.exact import binom_trunc
 from tests.conftest import make_ci
-from tests.oracle_poly import (
-    balanced_margin,
-    per_level_koszul,
-    sampled_stable_poly,
-    two_list_runs,
-    two_pass_moments,
-)
+from tests.oracle_poly import balanced_margin, per_level_koszul, two_list_runs, two_pass_moments
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -399,7 +394,8 @@ class TestStablePoly:
         (10, 3, (2,), (5,)),
     ], ids=["W", "M", "L", "eventual_sign", "short_table"])
     def test_closed_form_matches_sampled(self, r, d, k, y):
-        assert stable_margin_poly(plain(r, d, k, y)) == sampled_stable_poly(plain(r, d, k, y))
+        # the spec's polynomial: forward differences of its own sampled margins
+        assert stable_margin_poly(plain(r, d, k, y)) == tuple(Reference(Instance(r, d, k, y)).poly)
 
     def test_closed_form_matches_sampled_on_draws(self):
         rng = random.Random(909)
@@ -412,7 +408,7 @@ class TestStablePoly:
             y = tuple(rng.randint(-10, 10) for _ in range(c))
             X = plain(r, rng.randint(-10, 10), k, y)
             kinds.update(hypersurface=c == 1, balanced=X.balanced, short=X.k_sum < r)
-            assert stable_margin_poly(X) == sampled_stable_poly(plain(r, X.degree, k, y))
+            assert stable_margin_poly(X) == tuple(Reference(Instance(r, X.degree, k, y)).poly)
         assert min(kinds[kind] for kind in ("hypersurface", "balanced", "short")) >= 30
 
 

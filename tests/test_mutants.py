@@ -1,7 +1,8 @@
 """The mutant list of ``tests/mutants.py`` still fits the source and the tests.
 
 A refactor that moves a mutated line, or renames a test a mutant names,
-fails here at once, without running any mutant.
+fails here at once, without running any mutant; so does a tier-1 import
+from a part of the checkout that the script does not copy.
 """
 
 import ast
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.mutants import MUTANTS, SURVIVORS
+from tests.mutants import COPIED, MUTANTS, SURVIVORS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden_reports.json"
@@ -50,3 +51,19 @@ def test_mutant_applies_once_and_names_tests(name):
 
 def test_survivors_are_mutants():
     assert set(SURVIVORS) <= set(MUTANTS)
+
+
+def test_copied_holds_every_package_tier1_imports():
+    # a package left out fails to collect in every mutant's copy: the unmutated
+    # run fails, and every mutant, the expected survivor too, would read as caught
+    roots = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    # relci from src (pythonpath in pyproject.toml), the rest from the root
+    local = {"src" if (ROOT / "src" / name).is_dir() else name for name in roots
+             if (ROOT / "src" / name).is_dir() or (ROOT / name).is_dir()}
+    assert {"src", "tests", "perfbench", "tools"} <= local <= set(COPIED)

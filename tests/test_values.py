@@ -107,9 +107,13 @@ def test_replace_coerces_as_the_constructor_does():
     (lambda: BundleOverCurve(4, 4.5), "degree: expected an integer, got 4.5 (float)"),
     (lambda: BundleOverCurve(4, 4, hn=((4, 4.0),)), "hn: expected an integer, got 4.0 (float)"),
     (lambda: BundleOverCurve.split((1, 0.0)), "line_degrees: expected an integer, got 0.0 (float)"),
-], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split"])
+    (lambda: ContactInstance(3.0, 1.5, 2.5, 4), "ambient_n: expected an integer, got 3.0 (float)"),
+    (lambda: CycleClass(1.5, 1, 0), "codim: expected an integer, got 1.5 (float)"),
+    (lambda: CycleClass(True, 1, 0), "codim: expected an integer, got True (bool)"),
+], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split", "ContactInstance",
+        "CycleClass", "bool"])
 def test_integer_fields_reject_non_integers(build, message):
-    # a float or an integral Fraction is refused, never truncated
+    # a float or an integral Fraction is refused, never truncated, and a bool is no integer
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         build()
 

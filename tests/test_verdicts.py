@@ -24,7 +24,6 @@ from relci import (
 from relci import verdicts
 from relci.bundles import REGIONS_OUTSIDE_BRIDGE
 from tests.conftest import make_ci, make_hn_bundle
-from tests.oracle_poly import horner
 
 WORKED = RelativeCI(BundleOverCurve.semistable(4, 4), (3, 3), (1, 2))
 
@@ -291,13 +290,16 @@ class TestSweep:
     ], ids=["linear", "quadratic", "constant", "zero"])
     def test_sign_stable_bound(self, monkeypatch, coeffs, bound):
         poly = tuple(map(Fraction, coeffs))
+
+        def at(x):
+            return sum(c * x**i for i, c in enumerate(poly))
+
         monkeypatch.setattr(verdicts, "stable_margin_poly", lambda X: poly)
-        monkeypatch.setattr(verdicts, "positivity_margins", lambda X, h_max: (int(horner(poly, 1)),))
+        monkeypatch.setattr(verdicts, "positivity_margins", lambda X, h_max: (int(at(1)),))
         sweep = h_sweep(plain(3, 0, (2,), (0,)), 1)
         assert (sweep.stable_poly, sweep.sign_stable_from) == (poly, bound)
         for x in range(bound + 1, bound + 50):
-            value = horner(poly, x)
-            assert (value > 0) - (value < 0) == sweep.eventual_sign
+            assert (at(x) > 0) - (at(x) < 0) == sweep.eventual_sign
 
     def test_h_max_validated(self):
         with pytest.raises(InputError):
