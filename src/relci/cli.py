@@ -50,7 +50,7 @@ from functools import cache
 
 from . import __version__
 from .bundles import BundleOverCurve, ConeLabel, classify, cone
-from .errors import InputError, InternalCheckError, shown
+from .errors import InputError, InternalCheckError, integer, shown
 from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
@@ -137,12 +137,6 @@ def _rat(value: object, field: str) -> Fraction:
         raise InputError(f"{field}: not a rational: {shown(value)}") from exc
 
 
-def _int(value: object, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field}: expected an integer, got {shown(value)}")
-    return value
-
-
 def _shaped(value: object, kind: type, field: str) -> object:
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
@@ -171,19 +165,19 @@ def instance_from_json(data: object) -> RelativeCI:
         ciraw = _shaped(data["ci"], dict, "ci")
     except KeyError as exc:
         raise InputError(f"instance file missing section {exc.args[0]!r}") from exc
-    rank = _int(braw.get("rank"), "bundle.rank")
-    degree = _int(braw.get("degree"), "bundle.degree")
-    genus = _int(braw.get("base_genus", 0), "bundle.base_genus")
+    rank = integer(braw.get("rank"), "bundle.rank")
+    degree = integer(braw.get("degree"), "bundle.degree")
+    genus = integer(braw.get("base_genus", 0), "bundle.base_genus")
     hn = None
     if braw.get("hn") is not None:
         blocks = [_shaped(b, dict, "bundle.hn block") for b in _shaped(braw["hn"], list, "bundle.hn")]
         hn = tuple(
-            (_int(b.get("rank"), "bundle.hn.rank"), _int(b.get("degree"), "bundle.hn.degree"))
+            (integer(b.get("rank"), "bundle.hn.rank"), integer(b.get("degree"), "bundle.hn.degree"))
             for b in blocks
         )
     degs = None
     if braw.get("split") is not None:
-        degs = [_int(a, "bundle.split") for a in _shaped(braw["split"], list, "bundle.split")]
+        degs = [integer(a, "bundle.split") for a in _shaped(braw["split"], list, "bundle.split")]
         # before the rank bounds and the bundle's own rank and genus checks;
         # BundleOverCurve.split rejects an empty list itself
         if degs and (len(degs), sum(degs)) != (rank, degree):
@@ -202,8 +196,8 @@ def instance_from_json(data: object) -> RelativeCI:
         bundle = BundleOverCurve.split(degs, genus)
         if hn is not None and bundle.hn != hn:
             raise InputError("bundle.hn disagrees with the profile induced by bundle.split")
-    k = tuple(_int(v, "ci.k") for v in _shaped(ciraw.get("k", []), list, "ci.k"))
-    y = tuple(_int(v, "ci.y") for v in _shaped(ciraw.get("y", []), list, "ci.y"))
+    k = tuple(integer(v, "ci.k") for v in _shaped(ciraw.get("k", []), list, "ci.k"))
+    y = tuple(integer(v, "ci.y") for v in _shaped(ciraw.get("y", []), list, "ci.y"))
     if not k:
         raise InputError("ci.k must be a nonempty list")
     if sum(k) > MAX_K_SUM:
@@ -390,8 +384,8 @@ def _cmd_contact(args: argparse.Namespace) -> tuple[object, dict]:
             node = _shaped(data[name], dict, name)
             insts[name] = ContactInstance(
                 ambient_n=weights.ambient_n,
-                dim=_int(node.get("dim"), f"{name}.dim"),
-                deg=_int(node.get("deg"), f"{name}.deg"),
+                dim=integer(node.get("dim"), f"{name}.dim"),
+                deg=integer(node.get("deg"), f"{name}.deg"),
                 e_f=_rat(node.get("e_f"), f"{name}.e_f"),
             )
     except KeyError as exc:

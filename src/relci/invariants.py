@@ -202,6 +202,7 @@ def pushforward(X: RelativeCI, h: int) -> PushforwardSummary:
     non-integral result would mean a transcribed-formula bug and aborts
     hard.
     """
+    h = integer(h, "h")  # so that the memo keys, and each summary's h, are ints
     if h < 0:
         raise InputError(f"twist h must be >= 0, got {shown(h)}")
     memo = X._memo
@@ -273,6 +274,7 @@ def positivity_margins(X: RelativeCI, h_max: int) -> tuple[int, ...]:
     mismatch aborts hard, so each margin is the one ``positivity_margin``
     returns.
     """
+    h_max = integer(h_max, "h_max")
     if h_max < 1:
         raise InputError(f"h_max must be >= 1, got {shown(h_max)}")
     r, d, n = X.rank, X.degree, X.dim

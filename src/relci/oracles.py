@@ -29,7 +29,7 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
 from .bundles import BundleOverCurve, CycleClass
-from .errors import InputError, InternalCheckError, shown
+from .errors import InputError, InternalCheckError, integer, shown
 from .exact import binom_trunc
 from .invariants import (
     RelativeCI,
@@ -159,6 +159,7 @@ def cross_check(X: RelativeCI, h_max: int) -> tuple[dict[str, int], list[dict]]:
     against ``chow_expand``.  Returns the number of comparisons per
     suite and one entry per disagreement (empty when all agree).
     """
+    h_max = integer(h_max, "h_max")
     if h_max < 0:
         raise InputError(f"h_max must be >= 0, got {shown(h_max)}")
     r, d = X.rank, X.degree

@@ -210,8 +210,12 @@ def instability_verdict(X: RelativeCI) -> VerdictReport:
     additionally unstable with respect to the dualizing sheaf.  The
     excess does not settle large twists on unbalanced data, so
     ``unstable_large_h`` is read off the exact stable polynomial: it
-    holds exactly when the margins end negative.  When the excess fails
-    there is no conclusion either way.
+    holds exactly when the margins end negative.  Ending at 0 is not
+    ending negative: r = 5, d = -16, k = (2, 3, 4), y = (-5, -12, -12)
+    has alpha = -12 and a zero stable polynomial, its margins are -12,
+    0, 36 and then 0 from h = 4 on, the asymptotic verdict says
+    ``Boundary``, and ``unstable_large_h`` is false.  When the excess
+    fails there is no conclusion either way.
     """
     witnesses: dict[str, object] = {"ratio_sum": X.ratio_sum, "c_mu": X.codim * X.bundle.slope}
     if alpha_invariant(X) >= 0:

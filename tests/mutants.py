@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "tools", "pyproject.toml", "README.md",
           "BENCHMARK.json")
-TIMEOUT_S = 300  # per mutant; all of tier-1 takes about 15–25 s
+TIMEOUT_S = 300  # per mutant; all of tier-1 takes about 20–50 s
 INVARIANTS = "src/relci/invariants.py"
 SHIFT = "shift = sum(map(abs, val)).bit_length() + bound.bit_length() + 2"
 STEP = "b = b * m // (m - r + 1) if b else binom_trunc(m, r - 1)"
@@ -104,6 +104,14 @@ MUTANTS = {
     "slope_strict": (
         "src/relci/verdicts.py", "crit = X.bundle.slope >= ratio", "crit = X.bundle.slope > ratio",
         ("tests/test_spec.py::test_instance_reports",),
+    ),
+    # unstable_large_h read as "the margins do not end positive": the two differ only where
+    # alpha < 0 and the stable polynomial is zero, as on the golden zero_poly_alpha_neg
+    "unstable_large_h_non_positive": (
+        "src/relci/verdicts.py", "(stable_margin_poly(X) or (0,))[-1] < 0",
+        "(stable_margin_poly(X) or (0,))[-1] <= 0",
+        ("tests/test_verdicts.py::TestInstability::test_large_h_flag_follows_exact_sign",
+         f"{GOLDEN}[zero_poly_alpha_neg verdict]"),
     ),
     # h_sweep holds the stable polynomial to the run at n twists instead of n + 1
     "sweep_check_window_of_n": (

@@ -7,6 +7,8 @@ it; no benchmark runs here.
 import json
 from pathlib import Path
 
+import pytest
+
 from tools import bench
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,20 @@ def test_compare_flags_a_change_past_its_bound(tmp_path):
     rows = {row.split()[1]: row for row in bench.compare(old, new)}
     assert rows["op_cpu_ms.p50"].endswith("worse past bound)")
     assert all(row.endswith("within bound)") for name, row in rows.items() if name != "op_cpu_ms.p50")
+
+
+@pytest.mark.parametrize("setup_s, verdict", [
+    ((0.015, 0.0186, 0.025), "unresolved, quartiles span 27%"),  # quartiles 0.0168 and 0.0218
+    ((0.010, 0.0125, 0.017), "within bound"),  # 28 %, but every run below the old 0.0186
+], ids=["overlapping", "every_run_better"])
+def test_compare_leaves_a_spread_past_its_bound_unresolved(tmp_path, setup_s, verdict):
+    runs = []
+    for value in setup_s:
+        run = json.loads(LINE)
+        run["metrics"]["setup_s"]["value"] = value
+        runs.append(json.dumps(run))
+    old = bench.write(tmp_path / "old.json", {"catalogue": [LINE]}, {})
+    new = bench.write(tmp_path / "new.json", {"catalogue": runs}, {})
+    rows = {row.split()[1]: row for row in bench.compare(old, new)}
+    assert rows["setup_s"].endswith(f"(lower is better, bound 25%: {verdict})")
+    assert all(row.endswith("within bound)") for name, row in rows.items() if name != "setup_s")

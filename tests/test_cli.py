@@ -1077,7 +1077,7 @@ class TestLongInputsInMessages:
 
     # a value prints whole up to 60 characters, or 60 digits
     @pytest.mark.parametrize("rank, tail", [
-        ("x" * 58, f"got {'x' * 58!r}"), ("x" * 59, "got a str of length 59"),
+        ("x" * 58, f"got {'x' * 58!r} (str)"), ("x" * 59, "got a str of length 59 (str)"),
         (10**59, f"file says ({10**59}, 4)"), (-(10**60), "file says (an int of 61 digits, 4)"),
     ], ids=["str_58", "str_59", "int_60_digits", "int_61_digits"])
     def test_short_values_print_whole(self, capsys, tmp_path, rank, tail):

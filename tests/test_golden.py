@@ -4,7 +4,8 @@ The cases cover every demo instance under every subcommand, plus inline
 instances that reach each per-instance decision the reports depend on
 (effectivity warnings, bridge membership without a Harder-Narasimhan
 profile, the balanced canonical gate, the instability excess, eventual
-signs that disagree with alpha), the ``example`` family in both
+signs that disagree with alpha, and under ``verdict`` alone a zero stable
+polynomial with a negative alpha), the ``example`` family in both
 orientations, and split lists that do not fit the rest of the bundle
 (exit 2, each message naming the first inconsistency in file order),
 ``sweep`` on the three benchmark ladder rungs (and in the indented
@@ -13,7 +14,9 @@ and ``invariants -h 10000`` on the four rank-200 corners at the documented
 limits, ``oracle`` on ``worked.json`` at the largest ``--h-max`` within its
 work bound, and ``cones --svg`` on some demo instances.  A ladder or corner
 report is pinned by the byte length and sha256 of its stdout, since rung W's
-runs to 276 KB and the corners' to 11.1 MB; a ``--svg`` case by
+runs to 276 KB and the corners' to 11.1 MB, and that same stdout is held to
+the relci-free spec of ``perfbench/reference.py`` first, so that a failure
+tells numbers that are wrong from bytes that moved; a ``--svg`` case by
 the byte length and sha256 of the drawing it writes, in place of its
 stdout, which names the drawing's path.  ``--help`` is left out:
 argparse wraps it to the terminal.
@@ -33,6 +36,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -77,6 +81,9 @@ INLINE = {
     "eventual_r12": _instance(12, 6, [5, 3], [-4, 7]),
     "split_r10": _instance(10, 17, [6, 2, 5], [2, 7, 8], split=[3, -1, 2, 4, -1, 4, 0, -2, 3, 5]),
 }
+
+# verdict only: alpha < 0 and a zero stable polynomial, margins -12, 0, 36, then 0 from h = 4 on
+ZERO_POLY = ("zero_poly_alpha_neg verdict", ["verdict"], _instance(5, -16, [2, 3, 4], [-5, -12, -12]))
 
 # exit 2: the split's length and sum are compared with rank and degree
 # before the bundle's own checks (rank >= 2, genus >= 0) run
@@ -123,6 +130,7 @@ def _cases():
         if "split" in doc["bundle"]:
             argvs.append(["oracle", "--h-max", "3"])
         out += [(f"{name} {' '.join(a)}", a, doc) for a in argvs]
+    out.append(ZERO_POLY)
     for name, doc in INVALID_SPLITS.items():
         for argv in (["verdict"], ["oracle", "--h-max", "3"]):
             out.append((f"{name} {' '.join(argv)}", argv, doc))
@@ -153,7 +161,7 @@ def _digest(data):
     return len(data), hashlib.sha256(data).hexdigest()
 
 
-def run_case(argv, doc, workdir, digest=False):
+def run_case(argv, doc, workdir):
     svg = Path(workdir) / "cones.svg"
     if argv[-1] == "--svg":
         argv = [*argv, str(svg)]
@@ -165,12 +173,42 @@ def run_case(argv, doc, workdir, digest=False):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     got = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-    if digest:
-        got["stdout_bytes"], got["stdout_sha256"] = _digest(got.pop("stdout").encode("utf-8"))
     if str(svg) in argv:
         del got["stdout"]
         got["svg_bytes"], got["svg_sha256"] = _digest(svg.read_bytes())
     return got
+
+
+def pinned(case_id, got):
+    """``got`` as the expected file holds it: a ladder or corner stdout by its digest."""
+    if case_id.startswith(DIGESTED):
+        got["stdout_bytes"], got["stdout_sha256"] = _digest(got.pop("stdout").encode("utf-8"))
+    return got
+
+
+@cache
+def _reference(name):
+    """The spec's numbers for one ladder rung or corner, up to the largest twist its cases ask."""
+    # imported here: the regeneration script below runs with only src on the path
+    from perfbench.reference import Instance, Reference
+
+    cases = [(argv, doc) for case_id, argv, doc in CASES if case_id.split()[0] == name]
+    bundle, ci = cases[0][1]["bundle"], cases[0][1]["ci"]
+    split = bundle.get("split")
+    inst = Instance(bundle["rank"], bundle["degree"], tuple(ci["k"]), tuple(ci["y"]),
+                    split=None if split is None else tuple(split))
+    return Reference(inst, max(int(argv[2]) for argv, _ in cases if len(argv) > 2))
+
+
+def held_to_spec(case_id, argv, stdout):
+    """A ladder or corner report checked by the spec: "ok", else ``Mismatch`` is raised."""
+    from perfbench.reference import check_invariants, check_sweep, check_verdict
+
+    report, ref = json.loads(stdout), _reference(case_id.split()[0])
+    if argv[0] == "verdict":
+        return check_verdict(report, ref)
+    check = {"sweep": check_sweep, "invariants": check_invariants}[argv[0]]
+    return check(report, ref, int(argv[2]))  # --h-max H or -h H
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +222,10 @@ def test_case_ids_match(golden):
 
 @pytest.mark.parametrize("case_id, argv, doc", CASES, ids=[case_id for case_id, _, _ in CASES])
 def test_report(golden, tmp_path, case_id, argv, doc):
-    assert run_case(argv, doc, tmp_path, case_id.startswith(DIGESTED)) == golden[case_id]
+    got = run_case(argv, doc, tmp_path)
+    if case_id.startswith(DIGESTED):
+        assert got["code"] == 0 and held_to_spec(case_id, argv, got["stdout"]) == "ok"
+    assert pinned(case_id, got) == golden[case_id]
 
 
 def regenerate(case_ids, path, workdir):
@@ -196,7 +237,7 @@ def regenerate(case_ids, path, workdir):
     got = json.loads(path.read_text(encoding="utf-8")) if case_ids else {}
     for case_id in case_ids or cases:
         argv, doc = cases[case_id]
-        got[case_id] = run_case(argv, doc, workdir, case_id.startswith(DIGESTED))
+        got[case_id] = pinned(case_id, run_case(argv, doc, workdir))
     path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return len(case_ids or cases)
 

@@ -31,6 +31,7 @@ from relci import (
     WeightFiltration,
     canonical_class,
     chow_expand,
+    cross_check,
     h_sweep,
     mn_divisor_test,
     positivity_margins,
@@ -110,8 +111,12 @@ def test_replace_coerces_as_the_constructor_does():
     (lambda: ContactInstance(3.0, 1.5, 2.5, 4), "ambient_n: expected an integer, got 3.0 (float)"),
     (lambda: CycleClass(1.5, 1, 0), "codim: expected an integer, got 1.5 (float)"),
     (lambda: CycleClass(True, 1, 0), "codim: expected an integer, got True (bool)"),
+    # twist arguments: a bool twist would be memoised under its int key
+    (lambda: pushforward(worked(), True), "h: expected an integer, got True (bool)"),
+    (lambda: positivity_margins(worked(), 2.5), "h_max: expected an integer, got 2.5 (float)"),
+    (lambda: cross_check(worked(), Fraction(3)), "h_max: expected an integer, got 3 (Fraction)"),
 ], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split", "ContactInstance",
-        "CycleClass", "bool"])
+        "CycleClass", "bool", "pushforward", "positivity_margins", "cross_check"])
 def test_integer_fields_reject_non_integers(build, message):
     # a float or an integral Fraction is refused, never truncated, and a bool is no integer
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

@@ -189,12 +189,18 @@ class TestInstability:
 
     def test_large_h_flag_follows_exact_sign(self, rng):
         # the excess settles the small-twist band only: on unbalanced
-        # data the margins can still end positive, as on this instance
-        # (negative up to h = 12, positive from h = 13 on)
-        X = RelativeCI(BundleOverCurve.semistable(12, 6), (5, 3), (-4, 7))
-        rep = instability_verdict(X)
-        assert rep.conclusion == "ChowUnstableFibres"
-        assert rep.witnesses["unstable_large_h"] is False
+        # data the margins can still end positive, as on the first
+        # instance (negative up to h = 12, positive from h = 13 on), or
+        # end at 0, as on the second, whose stable polynomial is zero
+        ends_positive = RelativeCI(BundleOverCurve.semistable(12, 6), (5, 3), (-4, 7))
+        ends_zero = plain(5, -16, (2, 3, 4), (-5, -12, -12))
+        assert alpha_invariant(ends_zero) == -12 and stable_margin_poly(ends_zero) == ()
+        assert h_sweep(ends_zero, 8).margins == (-12, 0, 36, 0, 0, 0, 0, 0)
+        assert asymptotic_verdict(ends_zero).conclusion == "Boundary"
+        for X in (ends_positive, ends_zero):
+            rep = instability_verdict(X)
+            assert rep.conclusion == "ChowUnstableFibres"
+            assert rep.witnesses["unstable_large_h"] is False
         excess = ends_nonnegative = 0
         for _ in range(300):
             X = make_ci(rng)

@@ -16,8 +16,13 @@ source.  The file is ``BENCH_<n>.json`` at the root, n the first unused
 number.  It takes about 11 minutes on a 2-CPU VM.
 
 The second form prints each metric's relative change from OLD to NEW
-against the bound and better direction that ``BENCHMARK.json`` gives it.
-Only the standard library is used.
+against the bound and better direction that ``BENCHMARK.json`` gives it,
+or ``unresolved`` when the quartiles of either file span more of its
+median than that bound, since a change within the noise cannot be told
+from none (unless every NEW run reads better than every OLD run).  Two files taken at different times are not a paired comparison:
+the machine can drift between them by more than the bounds, so a change
+read this way is a lead to re-measure with the two trees' runs
+alternating, not evidence.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -93,6 +98,11 @@ def write(path: Path, lines: dict[str, list[str]], meta: dict) -> dict:
     return bench
 
 
+def spread(metric: dict) -> float:
+    """The quartile spread of one metric's runs, as a share of their median."""
+    return (metric["q3"] - metric["q1"]) / metric["median"] if metric["median"] else 0.0
+
+
 def compare(old: dict, new: dict) -> list[str]:
     """One line per workload and metric: the change, and whether it is past its bound."""
     rows = []
@@ -102,10 +112,18 @@ def compare(old: dict, new: dict) -> list[str]:
             if now is None or name not in then["metrics"] or name not in now["metrics"]:
                 rows.append(f"{workload:10} {name:16} missing")
                 continue
-            a, b = then["metrics"][name]["median"], now["metrics"][name]["median"]
+            was, got = then["metrics"][name], now["metrics"][name]
+            a, b = was["median"], got["median"]
             change = (b - a) / a if a else 0.0
-            worse = change if spec["better"] == "lower" else -change
-            verdict = "worse past bound" if worse > spec["bound"] else "within bound"
+            lower = spec["better"] == "lower"
+            worse = change if lower else -change
+            noise = max(spread(was), spread(got))
+            olds, news = was["values"], got["values"]
+            apart = max(news) < min(olds) if lower else min(news) > max(olds)  # every NEW run better
+            if noise > spec["bound"] and not apart:
+                verdict = f"unresolved, quartiles span {noise:.0%}"
+            else:
+                verdict = "worse past bound" if worse > spec["bound"] else "within bound"
             rows.append(f"{workload:10} {name:16} {a:12.4g} -> {b:12.4g} {change:+8.1%}  "
                         f"({spec['better']} is better, bound {spec['bound']:.0%}: {verdict})")
     return rows
