@@ -111,12 +111,10 @@ def _num(value: int | Fraction) -> str:
 def _enc(value: object) -> object:
     """Encode report values: every number becomes a decimal string.
 
-    Exact types are tested first, since reports are mostly strings, dicts,
-    lists and numbers; bool, str-Enums and None then pass through as is.
+    Dicts, lists and numbers are matched by exact type first; strings, bools,
+    str-Enums and None then pass through as is.
     """
     kind = type(value)
-    if kind is str:
-        return value
     if kind is dict:
         return {str(k): _enc(v) for k, v in value.items()}
     if kind is list or kind is tuple:
@@ -178,16 +176,13 @@ def instance_from_json(data: object) -> RelativeCI:
     degs = None
     if braw.get("split") is not None:
         degs = [integer(a, "bundle.split") for a in _shaped(braw["split"], list, "bundle.split")]
-        # before the rank bounds and the bundle's own rank and genus checks;
+        # before the rank limit and the bundle's own rank and genus checks;
         # BundleOverCurve.split rejects an empty list itself
         if degs and (len(degs), sum(degs)) != (rank, degree):
             raise InputError(
                 f"bundle.split implies (rank, degree) = ({len(degs)}, {shown(sum(degs))}), "
                 f"file says ({shown(rank)}, {shown(degree)})"
             )
-    # both rank bounds before the bundle is built, so an empty split is named after the rank
-    if rank < 2:
-        raise InputError(f"bundle rank must be >= 2, got {shown(rank)}")
     if rank > MAX_RANK:
         raise InputError(f"bundle.rank {shown(rank)} is above the limit {MAX_RANK}")
     if degs is None:

@@ -39,7 +39,8 @@ def integer(value: object, field: str) -> int:
             return index(value)
         except TypeError:
             pass
-    raise InputError(f"{field}: expected an integer, got {shown(value)} ({type(value).__name__})")
+    raise InputError(f"{field}: missing" if value is None else
+                     f"{field}: expected an integer, got {shown(value)} ({type(value).__name__})")
 
 
 class HypothesisError(InputError):

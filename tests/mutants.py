@@ -9,7 +9,8 @@ every named node id there unmutated, which must pass.  Then, one mutant at
 a time, it applies the substitution to a fresh copy and runs the mutant's
 node ids in one fresh pytest process (the whole of tier-1 when it names
 none).  The mutant is caught when tests fail or fail to collect (pytest exit
-status 1 or 2).  Run from the repository root::
+status 1 or 2).  A deleted statement is ``tests/deletions.py``'s mutant, not
+one of these.  Run from the repository root::
 
     python3 tests/mutants.py
 
@@ -51,7 +52,8 @@ MUTANTS = {
     ),
     "pack_shift_without_val_sum": (INVARIANTS, SHIFT, "shift = bound.bit_length() + 2", PACKED),
     "pack_shift_10_bits_short": (INVARIANTS, SHIFT, f"{SHIFT} - 10", PACKED),
-    # _koszul_sum: a binomial per level, a wrong exact step, a step across an empty level
+    # _koszul_sum: a binomial per level, a wrong exact step (a step across an empty level
+    # is the statement deletion of ``b = 0``, which tests/deletions.py makes)
     "koszul_comb_per_level": (
         INVARIANTS, STEP, "b = binom_trunc(m, r - 1)",
         (f"{INV}TestLoneSum::test_binomials_per_run_of_levels",),
@@ -60,11 +62,6 @@ MUTANTS = {
         INVARIANTS, STEP, "b = b * m // (m - r + 2) if b else binom_trunc(m, r - 1)",
         (f"{INV}TestLoneSum::test_equals_one_binomial_per_level",
          f"{INV}TestPushforward::test_deg_always_integral"),
-    ),
-    "koszul_no_reset": (
-        INVARIANTS, "        else:\n            b = 0\n", "        else:\n            pass\n",
-        (f"{INV}TestLoneSum::test_equals_one_binomial_per_level",
-         f"{INV}TestPushforward::test_rank_quartic_curve"),
     ),
     "margin_n_minus_one": (
         INVARIANTS, "- n * fibre_deg(X) * pf.degree)", "- (n - 1) * fibre_deg(X) * pf.degree)",
@@ -127,6 +124,16 @@ SURVIVORS = {
 }
 
 
+def copy_tree(tmp: str) -> None:
+    """Copy the parts of the checkout in ``COPIED`` into the directory ``tmp``."""
+    for part in COPIED:
+        source, target = ROOT / part, Path(tmp) / part
+        if source.is_dir():
+            shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(source, target)
+
+
 def _pytest(tmp: str, ids) -> int:
     """Run ``ids`` (all of tier-1 when empty) in the tree at ``tmp``: pytest's exit status."""
     args = [sys.executable, "-m", "pytest", "-q", "-x", "--tb=short", "-p", "no:cacheprovider",
@@ -149,12 +156,7 @@ def run(name: str | None) -> tuple[bool, float]:
     ``None`` runs every named node id on the unmutated copy instead.
     """
     with tempfile.TemporaryDirectory(prefix="relci-mutant-") as tmp:
-        for part in COPIED:
-            source, target = ROOT / part, Path(tmp) / part
-            if source.is_dir():
-                shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy(source, target)
+        copy_tree(tmp)
         if name is None:
             ids = sorted({node_id for *_, named in MUTANTS.values() for node_id in named})
         else:

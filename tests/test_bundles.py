@@ -150,6 +150,11 @@ class TestCones:
         with pytest.raises(InputError):
             cone(SPLIT_210, 3, ConeLabel.NEF)
 
+    def test_label_by_value(self):
+        E = BundleOverCurve.split((2, 1, 0, -1))
+        assert [cone(E, 2, label.value) for label in ConeLabel] == [-1, 1, 3]
+        assert [cone(E, 2, label) for label in ConeLabel] == [-1, 1, 3]
+
     def test_nested_strict_iff_unstable(self, rng):
         for _ in range(100):
             E = make_hn_bundle(rng)
@@ -224,6 +229,11 @@ class TestClassify:
     def test_p_negative_rejected(self):
         with pytest.raises(InputError):
             classify(SPLIT_210, CycleClass(2, -1, 0))
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_codim_range_before_the_sign_of_p(self, p):
+        with pytest.raises(InputError, match=r"^codimension 3 out of range 1\.\.2$"):
+            classify(SPLIT_210, CycleClass(3, p, 0))
 
     def test_scaling_invariance(self, rng):
         for _ in range(50):

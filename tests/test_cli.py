@@ -133,8 +133,16 @@ class TestInvariantsCommand:
     def test_not_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{", encoding="utf-8")
-        code, _, _ = run_main(capsys, "invariants", "-i", str(path))
+        code, _, err = run_main(capsys, "invariants", "-i", str(path))
         assert code == 2
+        assert err.startswith(f"relci: invalid input: input file {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("ci", [{"y": []}, {"k": [], "y": []}], ids=["absent", "empty"])
+    def test_empty_ci_k_exits_2(self, capsys, tmp_path, ci):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(WORKED, ci=ci)), encoding="utf-8")
+        code, _, err = run_main(capsys, "invariants", "-i", str(path))
+        assert (code, err) == (2, "relci: invalid input: ci.k must be a nonempty list\n")
 
     def test_split_inconsistent_exits_2(self, capsys, tmp_path):
         bad = dict(WORKED, bundle={"rank": 4, "degree": 5, "split": [1, 1, 1, 1]})
@@ -383,6 +391,11 @@ def reference_encoding(value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(value)
     return value
+
+
+def test_encoder_rejects_other_types():
+    with pytest.raises(TypeError, match="^cannot encode <object object at "):
+        cli._enc(object())
 
 
 class TestOracleCommand:
@@ -868,6 +881,20 @@ class TestWrongShapes:
         assert (code, out) == (2, "")
         assert err.startswith("relci: invalid input:")
 
+    # an absent key and a JSON null read alike
+    @pytest.mark.parametrize("command, doc, field", [
+        ("verdict", {"bundle": {"degree": 4}, "ci": {"k": [2], "y": [0]}}, "bundle.rank"),
+        ("verdict", {"bundle": {"rank": 4, "degree": None}, "ci": {"k": [2], "y": [0]}},
+         "bundle.degree"),
+        ("contact", {"weights": ["1"] * 4, "y": {"deg": 2, "e_f": "4"},
+                     "z": {"dim": 2, "deg": 3, "e_f": "6"}}, "y.dim"),
+    ], ids=["rank_absent", "degree_null", "contact_dim_absent"])
+    def test_missing_integer_field_exits_2(self, capsys, tmp_path, command, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_main(capsys, command, "-i", str(path))
+        assert (code, out, err) == (2, "", f"relci: invalid input: {field}: missing\n")
+
     def test_contact_node_list_exits_2(self, capsys, tmp_path):
         payload = {"weights": ["1", "1", "1", "1"], "y": {"dim": 1, "deg": 2, "e_f": "4"}, "z": []}
         path = tmp_path / "bad.json"
@@ -952,6 +979,20 @@ class TestWorkLimits:
     @staticmethod
     def flags(values):
         return [word for flag, value in values.items() for word in (flag, str(value))]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()._subparsers._group_actions[0].choices))
+    def test_subcommand_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: relci {command} ")
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert (exc.value.code, capsys.readouterr().out) == (0, "relci 0.1.0\n")
 
 
 class TestDocumentedLimits:

@@ -32,6 +32,17 @@ class TestValidation:
         with pytest.raises(InputError):
             WeightFiltration((0, 0, 0))
 
+    def test_weights_are_fractions(self):
+        W = WeightFiltration(("1/2", 0, "1/2"))
+        assert W.weights == (Fraction(1, 2), 0, Fraction(1, 2))
+        assert W.total == 1
+
+    def test_degree_of_contact_is_a_fraction(self):
+        # an int e_f would make hm_test divide in floats: 1/3 rounds below 1/3
+        T = ContactInstance(2, 2, 1, 1)
+        assert type(T.e_f) is Fraction
+        assert hm_test(T, WeightFiltration((1, 0, 0))) is HMStatus.SEMISTABLE
+
 
 class TestHMTest:
     def test_boundary(self):
@@ -76,7 +87,7 @@ class TestIntersection:
     def test_dimension_precondition(self):
         Y = ContactInstance(3, 1, 2, 0)
         Z = ContactInstance(3, 1, 2, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^intersection is empty in expected dimension: 1 \+ 1 < 3$"):
             contact_of_intersection(Y, Z, W1111)
 
     @pytest.mark.parametrize("z_ambient, w, message", [

@@ -71,6 +71,11 @@ def test_no_unused_imports(path):
     assert unused == {}, f"{path.name}: imported and never used (name: line)"
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"], ids=lambda p: p.name)
+def test_library_modules_declare_all(path):
+    assert hasattr(_module(path), "__all__")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_entries_resolve(path):
     names = _all(path)
@@ -117,6 +122,13 @@ def test_package_reexports_every_library_name():
     assert sorted(set(relci.__all__) - set(dir(relci))) == []
     with pytest.raises(AttributeError, match="'no_such_name'"):
         relci.no_such_name
+
+
+def test_dir_lists_exported_names_before_first_use(child_env):
+    code = "import relci; print('cone' in vars(relci), 'cone' in dir(relci))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
 
 
 FIRST_USE = """

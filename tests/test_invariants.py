@@ -541,12 +541,15 @@ class TestSurfaceFormulas:
         assert 144 * 10 == 24 * 2 * 30
 
     def test_hypothesis_gates(self):
-        with pytest.raises(HypothesisError):
-            surface_formula_check(plain(5, 1, (2, 3, 2), (0, 0, 0)))  # unbalanced
-        with pytest.raises(HypothesisError):
-            surface_formula_check(plain(5, 1, (2, 2), (0, 0)))  # c != r-2
-        with pytest.raises(HypothesisError):
-            surface_formula_check(plain(4, 1, (2, 2), (0, 0)))  # ck = r
+        for r, k, message in [
+            (5, (2, 3, 2), "balanced degrees"),
+            (5, (2, 2), "codim = rank - 2, got 2"),  # c*k <= r too
+            (4, (2, 2), "c*k > r, got 4 <= 4"),
+            (3, (2,), "c*k > r, got 2 <= 3"),
+        ]:
+            with pytest.raises(HypothesisError) as exc:
+                surface_formula_check(plain(r, 1, k, (0,) * len(k)))
+            assert str(exc.value) == f"surface formulas need {message}"
 
     def test_randomized(self, rng):
         for _ in range(100):

@@ -1,8 +1,10 @@
-"""The mutant list of ``tests/mutants.py`` still fits the source and the tests.
+"""The mutants of ``tests/mutants.py`` and ``tests/deletions.py`` still fit the source and the tests.
 
 A refactor that moves a mutated line, or renames a test a mutant names,
 fails here at once, without running any mutant; so does a tier-1 import
-from a part of the checkout that the script does not copy.
+from a part of the checkout that the scripts do not copy, a statement
+deletion that does not compile, and a justified survivor that is no
+longer a deletion site.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.deletions import JUSTIFIED, mutate, sites
 from tests.mutants import COPIED, MUTANTS, SURVIVORS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +70,29 @@ def test_copied_holds_every_package_tier1_imports():
     local = {"src" if (ROOT / "src" / name).is_dir() else name for name in roots
              if (ROOT / "src" / name).is_dir() or (ROOT / name).is_dir()}
     assert {"src", "tests", "perfbench", "tools"} <= local <= set(COPIED)
+
+
+def test_deletion_sites_are_deterministic():
+    assert sites() == sites()
+
+
+def test_every_deletion_compiles():
+    # each mutated module compiled as the top-level statement around its deletion: the rest
+    # is unchanged text that compiles as it stands (whole modules take several seconds)
+    failed, tops = [], {}
+    for site in sites():
+        if site.path not in tops:
+            body = ast.parse(site.path.read_text(encoding="utf-8")).body
+            tops[site.path] = [(min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))]),
+                                node.end_lineno) for node in body]
+        first, last = next((a, b) for a, b in tops[site.path] if a <= site.start <= b)
+        lines = mutate(site).splitlines(keepends=True)[first - 1:last - (site.end - site.start)]
+        try:
+            compile("".join(lines), f"{site.path}:{first}", "exec")
+        except SyntaxError as exc:
+            failed.append(f"{site.name}: {exc}")
+    assert failed == []
+
+
+def test_justified_survivors_are_sites():
+    assert set(JUSTIFIED) <= {site.name for site in sites()}

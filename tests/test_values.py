@@ -100,6 +100,9 @@ def test_replace_validates(value, change, error):
 def test_replace_coerces_as_the_constructor_does():
     assert type(CycleClass(1, 1, 0)._replace(q=1).q) is Fraction
     assert X._replace(k=[3, 3]).k == (3, 3)
+    split = BundleOverCurve.split((1, 1, 1, 1))  # == compares the line degrees as a tuple
+    assert BundleOverCurve(4, 4, 0, split.hn, [1, 1, 1, 1]) == split
+    assert split._replace(line_degrees=[1, 1, 1, 1]) == split
 
 
 @pytest.mark.parametrize("build, message", [
@@ -108,6 +111,10 @@ def test_replace_coerces_as_the_constructor_does():
     (lambda: BundleOverCurve(4, 4.5), "degree: expected an integer, got 4.5 (float)"),
     (lambda: BundleOverCurve(4, 4, hn=((4, 4.0),)), "hn: expected an integer, got 4.0 (float)"),
     (lambda: BundleOverCurve.split((1, 0.0)), "line_degrees: expected an integer, got 0.0 (float)"),
+    (lambda: BundleOverCurve(2, 1, 0, ((1, 1), (1, 0)), [1, 0.0]),
+     "line_degrees: expected an integer, got 0.0 (float)"),
+    (lambda: BundleOverCurve.split((1, 0))._replace(line_degrees=[1, 0.0]),
+     "line_degrees: expected an integer, got 0.0 (float)"),
     (lambda: ContactInstance(3.0, 1.5, 2.5, 4), "ambient_n: expected an integer, got 3.0 (float)"),
     (lambda: CycleClass(1.5, 1, 0), "codim: expected an integer, got 1.5 (float)"),
     (lambda: CycleClass(True, 1, 0), "codim: expected an integer, got True (bool)"),
@@ -115,8 +122,9 @@ def test_replace_coerces_as_the_constructor_does():
     (lambda: pushforward(worked(), True), "h: expected an integer, got True (bool)"),
     (lambda: positivity_margins(worked(), 2.5), "h_max: expected an integer, got 2.5 (float)"),
     (lambda: cross_check(worked(), Fraction(3)), "h_max: expected an integer, got 3 (Fraction)"),
-], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split", "ContactInstance",
-        "CycleClass", "bool", "pushforward", "positivity_margins", "cross_check"])
+], ids=["RelativeCI", "RelativeCI._replace", "BundleOverCurve", "hn", "split", "line_degrees",
+        "line_degrees._replace", "ContactInstance", "CycleClass", "bool", "pushforward",
+        "positivity_margins", "cross_check"])
 def test_integer_fields_reject_non_integers(build, message):
     # a float or an integral Fraction is refused, never truncated, and a bool is no integer
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
